@@ -1,18 +1,24 @@
 //! Candidate execution: build, run (with a time limit), validate
 //! against the baseline, check parallel-API usage, and time.
 //!
-//! Outcomes are cached by `(task, kind, n)`: a synthetic model's
-//! candidate artifact is fully determined by its kind, so distinct
-//! samples (and distinct models) sharing a kind share one execution —
-//! the analog of the paper's per-sample compile-and-run, minus redundant
-//! recompilation of byte-identical generations.
+//! Executions are shared by `(task, executed kind, n)`: a synthetic
+//! model's candidate artifact is fully determined by its kind, so
+//! distinct samples (and distinct models) sharing a kind share one
+//! execution — the analog of the paper's per-sample compile-and-run,
+//! minus redundant recompilation of byte-identical generations. A
+//! wrong-output candidate is the efficient parallel path with a
+//! corrupted result (`pcg_problems::corrupt::executed_kind`), so one
+//! efficient execution at a `(task, n)` point serves the efficient
+//! sample and all four corruption modes: when it finishes, every mode's
+//! corrupted output is validated against the baseline and the output is
+//! dropped. Only the verdicts are kept.
 //!
 //! [`SharedRunner`] is the concurrent form used by the parallel
 //! scheduler: many evaluation cells call into one runner at once, and
-//! each distinct execution happens exactly once (`OnceLock` per cache
-//! key — concurrent requesters for the same key block on the first
-//! initializer instead of duplicating work). All caching is keyed by
-//! task coordinates, never by worker identity, so results are
+//! each distinct execution happens exactly once (`OnceLock` per
+//! execution key — concurrent requesters for the same key block on the
+//! first initializer instead of duplicating work). All caching is keyed
+//! by task coordinates, never by worker identity, so results are
 //! byte-identical whatever the worker count. [`Runner`] remains as the
 //! serial facade over the same machinery.
 
@@ -21,6 +27,7 @@ use crate::scheduler::panic_message;
 use pcg_core::cancel::{self, CancelToken};
 use pcg_core::usage::UsageScope;
 use pcg_core::{warm, CandidateKind, Output, PcgError, ProblemId, Stage, TaskId};
+use pcg_problems::corrupt;
 use pcg_problems::input_cache::{self, InputCacheStats};
 use pcg_problems::lease::{self, LeaseStats};
 use pcg_problems::registry;
@@ -44,6 +51,32 @@ pub struct Outcome {
     pub seconds: f64,
     /// Failure code (`PcgError::code`-style) when not correct.
     pub error: Option<String>,
+}
+
+/// One execution and the verdicts scored from it: its own kind's
+/// outcome first, then one per kind derived from its output
+/// (`corrupt::derived_kinds`). The output itself is not retained.
+#[derive(Debug)]
+struct Execution {
+    verdicts: Vec<(CandidateKind, Outcome)>,
+    /// The final attempt hard-failed (worker panic or wall-clock
+    /// timeout); every verdict then carries that failure.
+    hard: bool,
+}
+
+impl Execution {
+    /// Every kind served by an execution of `executed` gets `outcome`.
+    fn uniform(executed: CandidateKind, outcome: Outcome, hard: bool) -> Execution {
+        let verdicts = std::iter::once(executed)
+            .chain(corrupt::derived_kinds(executed))
+            .map(|k| (k, outcome.clone()))
+            .collect();
+        Execution { verdicts, hard }
+    }
+
+    fn verdict(&self, kind: CandidateKind) -> &Outcome {
+        &self.verdicts.iter().find(|(k, _)| *k == kind).expect("kind served by this execution").1
+    }
 }
 
 /// The sequential baseline for a problem at the configured size.
@@ -276,9 +309,12 @@ type OnceCell<T> = Arc<OnceLock<T>>;
 pub struct SharedRunner {
     cfg: EvalConfig,
     baselines: Mutex<HashMap<ProblemId, OnceCell<Baseline>>>,
-    outcomes: Mutex<HashMap<(TaskId, CandidateKind, u32), OnceCell<Outcome>>>,
+    executions: Mutex<HashMap<(TaskId, CandidateKind, u32), OnceCell<Execution>>>,
     counters: Counters,
-    quarantined: Mutex<Vec<QuarantineEntry>>,
+    /// Keyed by the requested kind: one entry per requested kind whose
+    /// execution hard-failed, even when several kinds share the
+    /// execution (the four corruption modes share one kind code).
+    quarantined: Mutex<HashMap<(TaskId, CandidateKind, u32), QuarantineEntry>>,
     leaks: Arc<LeakTracker>,
     supervisors: Arc<SupervisorPool>,
     warm_base: WarmBase,
@@ -290,9 +326,9 @@ impl SharedRunner {
         SharedRunner {
             cfg,
             baselines: Mutex::new(HashMap::new()),
-            outcomes: Mutex::new(HashMap::new()),
+            executions: Mutex::new(HashMap::new()),
             counters: Counters::default(),
-            quarantined: Mutex::new(Vec::new()),
+            quarantined: Mutex::new(HashMap::new()),
             leaks: Arc::new(LeakTracker::default()),
             supervisors: Arc::new(SupervisorPool::default()),
             warm_base: WarmBase {
@@ -347,36 +383,34 @@ impl SharedRunner {
         Baseline { output: Arc::new(output.expect("at least one rep")), seconds: best }
     }
 
-    /// Execute (or fetch the cached execution of) one candidate.
+    /// Execute (or fetch the shared execution of) one candidate.
     ///
-    /// Candidates that hard-fail (worker panic or wall-clock timeout —
+    /// The request resolves to the execution of its executed kind at the
+    /// same `(task, n)`, which runs only if no one has run it yet.
+    /// Executions that hard-fail (worker panic or wall-clock timeout —
     /// not candidates that merely *report* a failure) are retried once
-    /// when `cfg.retry_flaky` is set; a candidate that hard-fails on its
-    /// final attempt is quarantined. Retry happens inside the cache
-    /// initializer, so concurrent requesters still observe exactly one
-    /// (possibly retried) execution sequence per key.
+    /// when `cfg.retry_flaky` is set; every requested kind whose
+    /// execution hard-fails its final attempt is quarantined under its
+    /// own kind code. Retry happens inside the cache initializer, so
+    /// concurrent requesters still observe exactly one (possibly
+    /// retried) execution sequence per key.
     pub fn outcome(&self, task: TaskId, kind: CandidateKind, n: u32) -> Outcome {
+        let executed = corrupt::executed_kind(kind);
         let cell = {
-            let mut map = self.outcomes.lock();
-            map.entry((task, kind, n)).or_insert_with(|| Arc::new(OnceLock::new())).clone()
+            let mut map = self.executions.lock();
+            map.entry((task, executed, n)).or_insert_with(|| Arc::new(OnceLock::new())).clone()
         };
         let mut fresh = false;
-        let out = cell.get_or_init(|| {
+        let exec = cell.get_or_init(|| {
             fresh = true;
             let baseline_output = self.with_baseline(task.problem, |b| b.output.clone());
-            let (first, hard) = self.execute(task, kind, n, &baseline_output);
-            if !hard {
-                return first;
-            }
-            if !self.cfg.retry_flaky {
-                self.quarantine_candidate(task, kind, n, &first);
+            let first = self.execute(task, executed, n, &baseline_output);
+            if !first.hard || !self.cfg.retry_flaky {
                 return first;
             }
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            let (second, still_hard) = self.execute(task, kind, n, &baseline_output);
-            if still_hard {
-                self.quarantine_candidate(task, kind, n, &second);
-            } else {
+            let second = self.execute(task, executed, n, &baseline_output);
+            if !second.hard {
                 self.counters.flaky.fetch_add(1, Ordering::Relaxed);
             }
             second
@@ -384,23 +418,23 @@ impl SharedRunner {
         if !fresh {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        out.clone()
-    }
-
-    fn quarantine_candidate(&self, task: TaskId, kind: CandidateKind, n: u32, out: &Outcome) {
-        self.quarantined.lock().push(QuarantineEntry {
-            task,
-            kind: kind.code().to_string(),
-            n,
-            error: out.error.clone().unwrap_or_else(|| "unknown".into()),
-        });
+        let out = exec.verdict(kind).clone();
+        if exec.hard {
+            self.quarantined.lock().entry((task, kind, n)).or_insert_with(|| QuarantineEntry {
+                task,
+                kind: kind.code().to_string(),
+                n,
+                error: out.error.clone().unwrap_or_else(|| "unknown".into()),
+            });
+        }
+        out
     }
 
     /// The quarantine list: candidates that hard-failed every attempt,
     /// sorted deterministically (outcome caching makes insertion order
     /// scheduling-dependent).
     pub fn quarantined(&self) -> Vec<QuarantineEntry> {
-        let mut q = self.quarantined.lock().clone();
+        let mut q: Vec<_> = self.quarantined.lock().values().cloned().collect();
         q.sort_by(|a, b| {
             a.task.cmp(&b.task).then_with(|| a.kind.cmp(&b.kind)).then_with(|| a.n.cmp(&b.n))
         });
@@ -500,10 +534,11 @@ impl SharedRunner {
         }
     }
 
-    /// Execute one candidate. The boolean is `true` when the execution
-    /// hard-failed at the harness level (worker panic or wall-clock
-    /// timeout) — the signal for retry/quarantine — as opposed to a
-    /// candidate that merely *reported* a failure (e.g. the virtual
+    /// Execute one candidate kind and score it and every kind derived
+    /// from its output. `hard` is set when the execution hard-failed at
+    /// the harness level (worker panic or wall-clock timeout) — the
+    /// signal for retry/quarantine — as opposed to a candidate that
+    /// merely *reported* a failure (e.g. the virtual
     /// `CandidateKind::Timeout`, which returns instantly).
     fn execute(
         &self,
@@ -511,7 +546,7 @@ impl SharedRunner {
         kind: CandidateKind,
         n: u32,
         baseline_output: &Output,
-    ) -> (Outcome, bool) {
+    ) -> Execution {
         let problem = registry::problem(task.problem);
         let size = self.cfg.size_for(problem.default_size());
         let seed = self.cfg.seed;
@@ -546,75 +581,53 @@ impl SharedRunner {
             (body, usage)
         });
         add_ns(&self.counters.run_ns, t_run);
+        let failed = |error: &str| Outcome {
+            built: true,
+            correct: false,
+            seconds: f64::INFINITY,
+            error: Some(error.into()),
+        };
         let (body, usage) = match fate {
             WorkerFate::Finished(v) => v,
-            WorkerFate::TimedOut => {
-                return (
-                    Outcome {
-                        built: true,
-                        correct: false,
-                        seconds: f64::INFINITY,
-                        error: Some("timeout".into()),
-                    },
-                    true,
-                );
-            }
+            WorkerFate::TimedOut => return Execution::uniform(kind, failed("timeout"), true),
         };
 
         let (result, best) = match body {
             Ok(v) => v,
             Err(_panic_msg) => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                return (
-                    Outcome {
-                        built: true,
-                        correct: false,
-                        seconds: f64::INFINITY,
-                        error: Some("panic".into()),
-                    },
-                    true,
-                );
+                return Execution::uniform(kind, failed("panic"), true);
             }
         };
 
-        let outcome = match result {
-            Err(PcgError::BuildFailure(_)) => Outcome {
-                built: false,
-                correct: false,
-                seconds: f64::INFINITY,
-                error: Some("build".into()),
-            },
-            Err(e) => Outcome {
-                built: true,
-                correct: false,
-                seconds: f64::INFINITY,
-                error: Some(e.code().to_string()),
-            },
-            Ok(run) => {
-                let t_val = Instant::now();
-                let wrong = !run.output.approx_eq(baseline_output);
-                let sequential = !wrong && !usage.used_required_api(task.model);
-                add_ns(&self.counters.validate_ns, t_val);
-                if wrong {
-                    Outcome {
-                        built: true,
-                        correct: false,
-                        seconds: best,
-                        error: Some("wrong".into()),
-                    }
-                } else if sequential {
-                    Outcome {
-                        built: true,
-                        correct: false,
-                        seconds: best,
-                        error: Some("sequential".into()),
-                    }
-                } else {
-                    Outcome { built: true, correct: true, seconds: best, error: None }
-                }
+        let run = match result {
+            Err(PcgError::BuildFailure(_)) => {
+                let nobuild = Outcome { built: false, ..failed("build") };
+                return Execution::uniform(kind, nobuild, false);
             }
+            Err(e) => return Execution::uniform(kind, failed(e.code()), false),
+            Ok(run) => run,
         };
-        (outcome, false)
+
+        let t_val = Instant::now();
+        let used_api = usage.used_required_api(task.model);
+        let validate = |output: &Output| {
+            let error = if !output.approx_eq(baseline_output) {
+                Some("wrong".into())
+            } else if !used_api {
+                Some("sequential".into())
+            } else {
+                None
+            };
+            Outcome { built: true, correct: error.is_none(), seconds: best, error }
+        };
+        let mut verdicts = vec![(kind, validate(&run.output))];
+        for derived in corrupt::derived_kinds(kind) {
+            let output = corrupt::derive(derived, run.output.clone(), self.cfg.seed);
+            verdicts.push((derived, validate(&output)));
+        }
+        add_ns(&self.counters.validate_ns, t_val);
+        Execution { verdicts, hard: false }
     }
 
     /// Run an arbitrary closure through the same isolation machinery a
@@ -1017,6 +1030,124 @@ mod tests {
             r.leak_budget_exhausted(),
             "blocking on the exhausted budget must latch the sidecar flag"
         );
+    }
+
+    const MODES: [CandidateKind; 4] = [
+        CandidateKind::WrongOutput(pcg_core::Corruption::PerturbElement),
+        CandidateKind::WrongOutput(pcg_core::Corruption::OffByOneShift),
+        CandidateKind::WrongOutput(pcg_core::Corruption::Truncate),
+        CandidateKind::WrongOutput(pcg_core::Corruption::WrongScale),
+    ];
+
+    #[test]
+    fn derived_wrong_output_verdicts_match_direct_execution() {
+        let r = SharedRunner::new(EvalConfig::smoke());
+        let cfg = r.config().clone();
+        let mut points = 0;
+        for ptype in ProblemType::ALL {
+            for model in [ExecutionModel::Mpi, ExecutionModel::OpenMp] {
+                let task = pcg_core::ProblemId::new(ptype, 0).task(model);
+                let problem = registry::problem(task.problem);
+                let size = cfg.size_for(problem.default_size());
+                let baseline = r.with_baseline(task.problem, |b| b.output.clone());
+                for n in [1, 3, 8] {
+                    points += 1;
+                    for kind in MODES {
+                        let shared = r.outcome(task, kind, n);
+                        // Reference: run the wrong-output candidate on
+                        // its own and validate its output.
+                        let scope = UsageScope::begin();
+                        let run = problem.run_candidate(model, kind, n, cfg.seed, size);
+                        let usage = scope.finish();
+                        let direct = match run {
+                            Err(e) => {
+                                (!matches!(e, PcgError::BuildFailure(_)), false, Some(e.code()))
+                            }
+                            Ok(run) if !run.output.approx_eq(&baseline) => {
+                                (true, false, Some("wrong"))
+                            }
+                            Ok(_) if !usage.used_required_api(model) => {
+                                (true, false, Some("sequential"))
+                            }
+                            Ok(_) => (true, true, None),
+                        };
+                        assert_eq!(
+                            (shared.built, shared.correct, shared.error.as_deref()),
+                            direct,
+                            "{task:?} {kind:?} n={n}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(r.executions(), points, "one efficient execution per (task, n)");
+    }
+
+    #[test]
+    fn one_execution_serves_efficient_and_every_corruption_mode() {
+        let t = mk_task(ExecutionModel::Mpi);
+        let eff = CandidateKind::Correct(Quality::Efficient);
+        for efficient_first in [true, false] {
+            let r = SharedRunner::new(EvalConfig::smoke());
+            let mut kinds = MODES.to_vec();
+            if efficient_first {
+                kinds.insert(0, eff);
+            } else {
+                kinds.push(eff);
+            }
+            for kind in kinds {
+                let out = r.outcome(t, kind, 4);
+                assert_eq!(out.correct, kind == eff, "{kind:?}: {out:?}");
+            }
+            assert_eq!(r.executions(), 1, "efficient_first={efficient_first}");
+            assert_eq!(r.cache_hits(), 4);
+        }
+    }
+
+    #[test]
+    fn hard_failed_shared_execution_quarantines_every_requested_kind() {
+        // A 64-rank graph world cannot finish within a microsecond, so
+        // the shared efficient execution times out (and is cancelled
+        // cooperatively within the generous grace period).
+        let t = pcg_core::ProblemId::new(ProblemType::Graph, 0).task(ExecutionModel::Mpi);
+        let n = 64;
+        let entry = |kind: CandidateKind| QuarantineEntry {
+            task: t,
+            kind: kind.code().into(),
+            n,
+            error: "timeout".into(),
+        };
+        for retry_flaky in [false, true] {
+            let mut cfg = EvalConfig::smoke();
+            cfg.timeout = Duration::from_micros(1);
+            cfg.grace = Duration::from_secs(30);
+            cfg.retry_flaky = retry_flaky;
+
+            // Efficient sample plus all four modes: the same list as when
+            // each kind hard-failed its own execution — one entry per
+            // requested kind, the four modes sharing the code "wrong".
+            let r = SharedRunner::new(cfg.clone());
+            let eff = CandidateKind::Correct(Quality::Efficient);
+            for kind in MODES.into_iter().chain([eff]) {
+                let out = r.outcome(t, kind, n);
+                assert_eq!((out.built, out.correct), (true, false));
+                assert_eq!(out.error.as_deref(), Some("timeout"));
+            }
+            let expected: Vec<_> = [eff].into_iter().chain(MODES).map(entry).collect();
+            assert_eq!(r.quarantined(), expected, "retry_flaky={retry_flaky}");
+            assert_eq!(r.executions(), 1 + u64::from(retry_flaky));
+            assert_eq!(r.retries(), u64::from(retry_flaky));
+
+            // Only the modes requested: the efficient execution runs on
+            // their behalf but is not itself quarantined.
+            let r = SharedRunner::new(cfg);
+            for kind in MODES {
+                r.outcome(t, kind, n);
+            }
+            let expected: Vec<_> = MODES.into_iter().map(entry).collect();
+            assert_eq!(r.quarantined(), expected, "retry_flaky={retry_flaky}");
+            assert_eq!(r.leaked_workers(), 0, "cancelled cooperatively");
+        }
     }
 
     #[test]

@@ -4,9 +4,38 @@
 //! guaranteed to produce an output that fails the tolerant comparison
 //! against the original (so a "wrong" sample can never be accidentally
 //! scored correct).
+//!
+//! A wrong-output candidate is the efficient parallel path with its
+//! result corrupted. [`executed_kind`] and [`derive`] are the one
+//! definition of that: the problem framework runs a wrong-output
+//! candidate through them, and the harness uses them to score all four
+//! corruption modes from a single efficient execution.
 
 use pcg_core::rng::splitmix64;
-use pcg_core::{Corruption, Output};
+use pcg_core::{CandidateKind, Corruption, Output, Quality};
+
+/// The kind whose execution produces `kind`'s output: the efficient
+/// parallel path for a wrong-output candidate, `kind` itself otherwise.
+pub fn executed_kind(kind: CandidateKind) -> CandidateKind {
+    match kind {
+        CandidateKind::WrongOutput(_) => CandidateKind::Correct(Quality::Efficient),
+        other => other,
+    }
+}
+
+/// `kind`'s output, given the output of its [`executed_kind`].
+pub fn derive(kind: CandidateKind, output: Output, seed: u64) -> Output {
+    match kind {
+        CandidateKind::WrongOutput(mode) => corrupt(output, mode, seed),
+        _ => output,
+    }
+}
+
+/// The kinds other than `executed` whose output is derived from an
+/// execution of `executed` (empty unless it is the efficient path).
+pub fn derived_kinds(executed: CandidateKind) -> impl Iterator<Item = CandidateKind> {
+    CandidateKind::ALL.into_iter().filter(move |&k| k != executed && executed_kind(k) == executed)
+}
 
 /// Perturbation large enough to defeat the default relative tolerance.
 fn bump_f64(x: f64) -> f64 {
@@ -148,6 +177,24 @@ mod tests {
         // Different seeds usually hit different elements (not required,
         // but the chosen index must be in range either way).
         let _ = c;
+    }
+
+    #[test]
+    fn wrong_output_modes_derive_from_the_efficient_path() {
+        let eff = CandidateKind::Correct(Quality::Efficient);
+        let derived: Vec<_> = derived_kinds(eff).collect();
+        let modes: Vec<_> = pcg_core::Corruption::ALL.map(CandidateKind::WrongOutput).into();
+        assert_eq!(derived, modes);
+        for k in CandidateKind::ALL {
+            assert_eq!(executed_kind(executed_kind(k)), executed_kind(k), "{k:?}");
+            if k != eff {
+                assert_eq!(derived_kinds(k).count(), 0, "{k:?}");
+            }
+        }
+        let o = Output::I64s(vec![1, 2, 3]);
+        assert_eq!(derive(eff, o.clone(), 5), o);
+        let truncated = CandidateKind::WrongOutput(Truncate);
+        assert_eq!(derive(truncated, o.clone(), 5), corrupt(o, Truncate, 5));
     }
 
     #[test]

@@ -157,20 +157,12 @@ impl<S: Spec> Problem for S {
             CandidateKind::RuntimeCrash => {
                 Err(PcgError::Runtime("candidate crashed at runtime".into()))
             }
-            CandidateKind::WrongOutput(mode) => {
+            CandidateKind::WrongOutput(_) => {
                 // Run the real parallel code path, then corrupt the
                 // result the way a decomposition bug would.
-                let run = self.run_candidate(
-                    model,
-                    CandidateKind::Correct(Quality::Efficient),
-                    n,
-                    seed,
-                    size,
-                )?;
-                Ok(TimedRun {
-                    output: corrupt::corrupt(run.output, mode, seed),
-                    seconds: run.seconds,
-                })
+                let run = self.run_candidate(model, corrupt::executed_kind(kind), n, seed, size)?;
+                let output = corrupt::derive(kind, run.output, seed);
+                Ok(TimedRun { output, seconds: run.seconds })
             }
             CandidateKind::SequentialFallback => {
                 // Correct output, zero parallel-API usage: the harness's
