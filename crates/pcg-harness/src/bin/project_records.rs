@@ -7,9 +7,8 @@
 //! single-process run. It delegates to
 //! [`pcg_harness::record::projection`], the same function the
 //! warm-path, mux, and shard projection-equality tests call, so there
-//! is exactly one definition of "deterministic fields" in the repo
-//! (`ci/project_records.py` execs this binary instead of carrying a
-//! hand-written copy). `--cols` reads the binary columnar stats store
+//! is exactly one definition of "deterministic fields" in the repo.
+//! `--cols` reads the binary columnar stats store
 //! the pipeline commits next to the cache and prints the identical
 //! projection without touching a JSON parser — which also lets CI
 //! cross-check the sidecar against its cache byte-for-byte.

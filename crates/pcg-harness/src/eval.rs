@@ -3,8 +3,8 @@
 //! Evaluation is organized around the cell-addressed work model
 //! (`pcg_core::plan`): the (model × task) grid is enumerated into a
 //! [`WorkPlan`] whose cells carry globally stable [`CellId`]s, and the
-//! coordinator ([`evaluate_cells`]) executes **any subset** of that
-//! plan — the whole grid for a single-process run, one deterministic
+//! coordinator ([`evaluate_cells_priors`]) executes **any subset** of
+//! that plan — the whole grid for a single-process run, one deterministic
 //! shard (`id % shard_count`) for a multi-process worker, or an
 //! arbitrary gap-fill list for `merge`. Cells are fanned over the
 //! work-stealing scheduler (`scheduler::run_grid`); every cell draws
@@ -105,7 +105,8 @@ pub fn evaluate_with<S: CandidateSource + Sync + ?Sized>(
     jobs: usize,
     runner: &SharedRunner,
 ) -> (EvalRecord, EvalStats) {
-    evaluate_resumable(cfg, source, tasks, jobs, runner, &Replay::new(), |_, _, _| {})
+    let replay = Replay::new();
+    evaluate_resumable_priors(cfg, source, tasks, jobs, None, runner, &replay, |_, _, _| {})
 }
 
 /// [`evaluate_with`] plus crash-safety hooks: cells present in `replay`
@@ -121,20 +122,9 @@ pub fn evaluate_with<S: CandidateSource + Sync + ?Sized>(
 /// runner: replayed cells contribute their journaled bytes verbatim
 /// (JSON round trips are lossless) and fresh cells recompute exactly
 /// what the interrupted run would have produced.
-pub fn evaluate_resumable<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    tasks: Option<&[TaskId]>,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> (EvalRecord, EvalStats) {
-    evaluate_resumable_priors(cfg, source, tasks, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_resumable`] with a scheduling cost table: pending cells
-/// are dispatched longest-expected-first (LPT). Priors only reorder
+///
+/// With a scheduling cost table (`priors`), pending cells are
+/// dispatched longest-expected-first (LPT). Priors only reorder
 /// execution — the returned record is byte-identical with or without
 /// them, at any worker count.
 #[allow(clippy::too_many_arguments)]
@@ -149,11 +139,10 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
     on_cell: impl FnMut(CellId, &str, &TaskRecord),
 ) -> (EvalRecord, EvalStats) {
     let plan = plan_for(cfg, source, tasks);
-    let run = evaluate_plan_priors(
+    let run = evaluate_cells_priors(
         cfg,
         source,
-        &plan,
-        ShardSpec::WHOLE,
+        plan.shard_with(ShardSpec::WHOLE, priors),
         jobs,
         priors,
         runner,
@@ -165,79 +154,23 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
     (record, run.stats)
 }
 
-/// Evaluate the cells of `plan` that belong to `shard`. The whole-grid
-/// spec ([`ShardSpec::WHOLE`]) makes this the single-process
-/// coordinator; any other spec makes it a shard worker executing its
-/// deterministic `id % shard_count` slice.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_plan<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    plan: &WorkPlan,
-    shard: ShardSpec,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_plan_priors(cfg, source, plan, shard, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_plan`] with a scheduling cost table. The table changes
-/// **which** cells this shard owns (cost-weighted LPT bin-packing via
-/// [`WorkPlan::shard_with`] instead of `id % count`) and **when** they
-/// run (longest-expected-first dispatch) — never what any cell
-/// computes. Every cooperating worker must pass a table with the same
-/// hash stamp (or none at all); the journal header records the stamp so
-/// the merge can enforce it.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_plan_priors<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    plan: &WorkPlan,
-    shard: ShardSpec,
-    jobs: usize,
-    priors: Option<&CostPriors>,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_cells_priors(
-        cfg,
-        source,
-        plan.shard_with(shard, priors),
-        jobs,
-        priors,
-        runner,
-        replay,
-        on_cell,
-    )
-}
-
-/// The core coordinator: evaluate an explicit subset of plan cells.
+/// The core coordinator: evaluate an explicit subset of plan cells —
+/// the whole grid, one shard's slice (`plan.shard_with(spec, priors)`),
+/// or a merge's gap-fill list.
 ///
 /// `source` must be the candidate source the plan was built from
 /// (cells index into its rows). Cells found in `replay` are spliced in
-/// without re-evaluation; the rest are fanned over the scheduler.
+/// without re-evaluation; the rest are fanned over the scheduler, and
+/// `on_cell` is invoked on the calling thread for each one evaluated.
 /// Results come back in `owned` order regardless of completion order.
-pub fn evaluate_cells<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    owned: Vec<PlanCell>,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_cells_priors(cfg, source, owned, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_cells`] with longest-processing-time dispatch: when a
-/// priors table is given, pending cells are handed to workers in
-/// descending expected-cost order (ties broken by cell id), which is
-/// the classic LPT list-scheduling discipline. Results still come back
-/// in `owned` order and every cell computes exactly what it would have
-/// computed under any other dispatch order.
+///
+/// Longest-processing-time dispatch: when a priors table is given,
+/// pending cells are handed to workers in descending expected-cost
+/// order (ties broken by cell id), the classic LPT list-scheduling
+/// discipline. The table never changes what any cell computes. Every
+/// cooperating shard worker must pass a table with the same hash stamp
+/// (or none at all); the journal header records the stamp so the merge
+/// can enforce it.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     cfg: &EvalConfig,
@@ -576,8 +509,8 @@ mod tests {
         let mut map = std::collections::HashMap::new();
         for k in 0..3 {
             let spec = ShardSpec::new(k, 3);
-            let run = evaluate_plan(
-                &cfg, &models, &plan, spec, 1, &runner, &Replay::new(), |_, _, _| {},
+            let run = evaluate_cells_priors(
+                &cfg, &models, plan.shard(spec), 1, None, &runner, &Replay::new(), |_, _, _| {},
             );
             assert_eq!(run.stats.cells, plan.shard(spec).len());
             for (cell, rec) in run.cells {

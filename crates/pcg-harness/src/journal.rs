@@ -3,9 +3,9 @@
 //! The pipeline appends one entry per completed grid cell, fsync'd
 //! before the scheduler hands out more work from that point, so a
 //! killed run loses at most the cells that were in flight. On startup
-//! with `--resume`, a journal whose header matches the active config
-//! (and shard) is replayed: completed cells are skipped and only the
-//! remainder is scheduled.
+//! with `--resume`, a journal whose header matches the active
+//! [`JournalKey`] is replayed: completed cells are skipped and only
+//! the remainder is scheduled.
 //!
 //! Replay is **cell-addressed**: every entry carries its
 //! [`pcg_core::CellId`] — the FNV-1a hash of `(config hash, model,
@@ -20,19 +20,18 @@
 //!
 //! ## Format (v3, binary frames)
 //!
-//! The hot path is binary: the file opens with the 8-byte magic
-//! `PCGJRNL3`, then a sequence of CRC-checked frames
-//! ([`pcg_core::frame`]: `u32 len | u64 cell | u32 crc | payload`,
-//! little-endian, CRC-32 over cell bytes ++ payload). Frame 0 is the
-//! header (cell tag 0; payload `u32 version=3 | u64 config_hash |
-//! u32 shard_index | u32 shard_count | u64 priors_hash` — the last
-//! field is the [`pcg_core::CostPriors`] hash the run scheduled and
-//! sharded under, 0 for no priors; headers written before the field
-//! existed are read as hash 0); every further frame is one
-//! cell, its payload encoded by [`crate::codec`]. Replay reads the
-//! whole file in one buffered pass and never touches a JSON parser —
-//! JSON remains the *export* format (the records cache,
-//! `record::projection`), unchanged to the byte.
+//! The file opens with the 8-byte magic `PCGJRNL3`, then a sequence of
+//! CRC-checked frames ([`pcg_core::frame`]: `u32 len | u64 cell | u32
+//! crc | payload`, little-endian, CRC-32 over cell bytes ++ payload).
+//! Frame 0 is the header (cell tag 0; payload `u32 version=3 | u64
+//! config_hash | u32 shard_index | u32 shard_count | u64 priors_hash`,
+//! the encoded [`JournalKey`]); every further frame is one cell, its
+//! payload encoded by [`crate::codec`]. Replay reads the whole file in
+//! one buffered pass and never touches a JSON parser — JSON remains
+//! the *export* format (the records cache, `record::projection`),
+//! unchanged to the byte. A file without the magic, or whose header
+//! does not decode to the active key, replays nothing; resume then
+//! starts a fresh journal over it.
 //!
 //! A torn final frame (the crash happened mid-append), a CRC mismatch,
 //! a payload that does not decode, or a failed cell self-check
@@ -40,17 +39,6 @@
 //! re-evaluated, and every rejection is reported with its byte offset,
 //! frame index, and cell id (see [`Reject`]) and counted into the
 //! `journal_frames_rejected` stat.
-//!
-//! ## Migration from v2 (JSONL)
-//!
-//! v2 journals — line 1 `{"version":2,"config_hash":...,"shard_index":
-//! k,"shard_count":n}`, then one `{"cell":...,"model":...,
-//! "record":{...}}` line per cell — remain fully readable: a file
-//! without the v3 magic falls back to the line-oriented loader with
-//! the same truncate-at-first-corruption policy. Resume *always*
-//! compacts a v2 journal (replay v2 → commit v3), so one resume
-//! migrates the artifact and every subsequent load takes the binary
-//! path. [`compact`] only ever writes v3.
 //!
 //! **Compaction:** a journal that survived one or more crashes can
 //! carry stale bytes — the torn frame itself, frames shadowed by a
@@ -61,14 +49,12 @@
 //! stale frames on every subsequent resume.
 //!
 //! Byte-identity contract: replaying a cell reproduces the exact bytes
-//! an uninterrupted run would have recorded. In v3 that is immediate —
-//! floats travel as raw IEEE-754 bits — and in the v2 fallback it
-//! holds because the vendored serde prints `f64`s in
-//! shortest-roundtrip form. The cells evaluated *after* resume reuse
-//! the same deterministic sample streams (keyed by grid coordinates,
-//! never by worker identity or time), extending the jobs-agnostic
-//! determinism guarantee across a crash — and, with cell addressing,
-//! across process boundaries.
+//! an uninterrupted run would have recorded — floats travel as raw
+//! IEEE-754 bits. The cells evaluated *after* resume reuse the same
+//! deterministic sample streams (keyed by grid coordinates, never by
+//! worker identity or time), extending the jobs-agnostic determinism
+//! guarantee across a crash — and, with cell addressing, across
+//! process boundaries.
 
 use crate::codec;
 use crate::config::EvalConfig;
@@ -76,7 +62,6 @@ use crate::record::TaskRecord;
 use parking_lot::Mutex;
 use pcg_core::frame::{self, FrameError, ByteReader, ByteWriter, FRAME_OVERHEAD, JOURNAL_MAGIC};
 use pcg_core::plan::{fnv1a, CellId, ShardSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -91,26 +76,6 @@ const VERSION: u32 = 3;
 /// non-empty input; the header is additionally pinned to frame 0, so
 /// the tag is a label, not a collision risk.
 const HEADER_CELL: u64 = 0;
-
-/// The v2 JSONL header line, kept for migration reads (and for writing
-/// v2 fixtures in tests and benches).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
-struct HeaderV2 {
-    version: u32,
-    config_hash: u64,
-    #[serde(default)]
-    shard_index: u32,
-    #[serde(default)]
-    shard_count: u32,
-}
-
-/// The v2 JSONL entry line, kept for migration reads.
-#[derive(Serialize, Deserialize)]
-struct EntryV2 {
-    cell: u64,
-    model: String,
-    record: TaskRecord,
-}
 
 /// FNV-1a over the config's canonical JSON: journals are only replayed
 /// into the exact configuration that wrote them, and every
@@ -136,33 +101,75 @@ pub fn config_hash_with(cfg: &EvalConfig, salt: &[u8]) -> u64 {
     fnv1a(&bytes)
 }
 
-fn header_payload(chash: u64, shard: ShardSpec, priors_hash: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(VERSION);
-    w.put_u64(chash);
-    w.put_u32(shard.index);
-    w.put_u32(shard.count);
-    w.put_u64(priors_hash);
-    w.into_bytes()
+/// A journal's identity: everything its header frame pins. Replay,
+/// compaction, the work-stealing progress peek and merge all gate on
+/// equality with the decoded header, so the four can never drift
+/// apart on policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalKey {
+    /// [`config_hash_with`] of the run's config and candidate-source
+    /// salt; every [`CellId`] in the journal derives from it.
+    pub config_hash: u64,
+    /// The shard the journal belongs to ([`ShardSpec::WHOLE`] for a
+    /// single-process run).
+    pub shard: ShardSpec,
+    /// The [`pcg_core::CostPriors`] hash the run scheduled and sharded
+    /// under, 0 for no priors. Priors change which cells a shard owns,
+    /// so a journal written under different priors must not replay.
+    pub priors_hash: u64,
 }
 
-/// Whether a v3 header payload matches `(config hash, shard geometry,
-/// priors hash)` exactly. Pre-priors headers (written before the hash
-/// field existed) carry an implicit hash 0. Shared by full replay and
-/// the work-stealing progress peek so the two can never drift apart on
-/// gating policy.
-fn header_matches(payload: &[u8], chash: u64, shard: ShardSpec, priors_hash: u64) -> bool {
-    let mut r = ByteReader::new(payload);
-    let ok = r.u32().is_ok_and(|v| v == VERSION)
-        && r.u64().is_ok_and(|h| h == chash)
-        && r.u32().is_ok_and(|i| i == shard.index)
-        && r.u32().is_ok_and(|c| c == shard.count);
-    if !ok {
-        return false;
+impl JournalKey {
+    /// The key of `cfg`'s shard `shard` scored from a candidate source
+    /// with salt `salt` (empty for the synthetic default) under the
+    /// priors table hashing to `priors_hash`.
+    pub fn new(cfg: &EvalConfig, salt: &[u8], shard: ShardSpec, priors_hash: u64) -> JournalKey {
+        JournalKey { config_hash: config_hash_with(cfg, salt), shard, priors_hash }
     }
-    let stored =
-        if r.is_exhausted() { Some(0) } else { r.u64().ok().filter(|_| r.is_exhausted()) };
-    stored == Some(priors_hash)
+
+    /// The magic plus the header frame: the first bytes of every
+    /// journal written under this key.
+    fn header_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(VERSION);
+        w.put_u64(self.config_hash);
+        w.put_u32(self.shard.index);
+        w.put_u32(self.shard.count);
+        w.put_u64(self.priors_hash);
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        frame::encode_frame_into(&mut bytes, HEADER_CELL, &w.into_bytes());
+        bytes
+    }
+
+    /// Decode the header of a journal's bytes: the key it was written
+    /// under and the offset of its first entry frame. `None` for a
+    /// file without the magic, a torn or corrupt header frame, another
+    /// version, or any other header layout.
+    fn read(bytes: &[u8]) -> Option<(JournalKey, usize)> {
+        if !bytes.starts_with(&JOURNAL_MAGIC) {
+            return None;
+        }
+        let header = match frame::decode_frame(bytes, JOURNAL_MAGIC.len()) {
+            Some(Ok(f)) if f.cell == HEADER_CELL => f,
+            _ => return None,
+        };
+        let mut r = ByteReader::new(header.payload);
+        if r.u32().ok()? != VERSION {
+            return None;
+        }
+        let key = JournalKey {
+            config_hash: r.u64().ok()?,
+            shard: ShardSpec { index: r.u32().ok()?, count: r.u32().ok()? },
+            priors_hash: r.u64().ok()?,
+        };
+        r.is_exhausted().then_some((key, header.end))
+    }
+
+    /// The offset of the first entry frame in `bytes`, if its header
+    /// decodes to exactly this key.
+    fn entries_start(&self, bytes: &[u8]) -> Option<usize> {
+        JournalKey::read(bytes).filter(|(key, _)| key == self).map(|(_, end)| end)
+    }
 }
 
 /// Journal path for a record cache path (`records-quick.json` →
@@ -199,24 +206,14 @@ pub struct ReplayCell {
 /// Completed cells recovered from a journal, keyed by cell address.
 pub type Replay = HashMap<CellId, ReplayCell>;
 
-/// Which on-disk layout a journal load found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalFormat {
-    /// Binary frames behind the `PCGJRNL3` magic — the hot path.
-    V3,
-    /// Legacy JSONL, readable for migration; resume compacts it to v3.
-    V2Jsonl,
-}
-
-/// One rejected journal frame (or, in the v2 fallback, line): where it
-/// sits in the file and why replay refused it. Everything from the
-/// rejected frame to the end of the file is untrusted.
+/// One rejected journal frame: where it sits in the file and why
+/// replay refused it. Everything from the rejected frame to the end of
+/// the file is untrusted.
 #[derive(Debug, Clone)]
 pub struct Reject {
     /// Byte offset of the rejected frame's first byte.
     pub offset: u64,
-    /// Frame index within the file (the header is frame 0; in the v2
-    /// fallback, the 0-based line index with the header as line 0).
+    /// Frame index within the file (the header is frame 0).
     pub frame: usize,
     /// The cell tag as stored in the rejected frame, when its fixed
     /// header was still readable. Untrusted — it may be the corrupted
@@ -237,39 +234,30 @@ impl std::fmt::Display for Reject {
     }
 }
 
-/// What [`load_counting`] recovered, plus how much of the file it had
-/// to discard or fold and in which format it found the file.
+/// What [`load`] recovered, plus how much of the file it had to
+/// discard or fold.
+#[derive(Default)]
 pub struct Loaded {
     /// The replayable cells.
     pub replay: Replay,
     /// Frames that carried no replayable information: the rejected
     /// frame, the untrusted frames structurally visible after it, and
     /// duplicate appends shadowed by a later frame. When positive, the
-    /// journal is worth compacting. (Known as stale *lines* in v2.)
+    /// journal is worth compacting.
     pub stale_frames: usize,
     /// Frames replay refused, with byte offset / frame index / cell id
     /// diagnostics. At most one per load under the
     /// truncate-at-first-corruption policy; its length feeds the
     /// `journal_frames_rejected` stat.
     pub rejects: Vec<Reject>,
-    /// The layout the file was found in, or `None` when the file was
-    /// missing, unreadable, or carried a header for a different
-    /// config/version/shard. `Some(V2Jsonl)` obliges resume to compact
-    /// (migrate) even with zero stale frames.
-    pub format: Option<JournalFormat>,
 }
 
 impl Loaded {
-    fn empty() -> Loaded {
-        Loaded { replay: Replay::new(), stale_frames: 0, rejects: Vec::new(), format: None }
-    }
-
     /// Whether resume should rewrite this journal before appending:
-    /// stale bytes to fold away, or a legacy format to migrate. A v3
-    /// journal with replayable frames *must not* be truncated, and a
-    /// v2 journal *must not* be appended to in place.
+    /// there are stale bytes to fold away. A journal with replayable
+    /// frames *must not* be truncated.
     pub fn needs_compaction(&self) -> bool {
-        self.stale_frames > 0 || self.format == Some(JournalFormat::V2Jsonl)
+        self.stale_frames > 0
     }
 }
 
@@ -279,32 +267,14 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Start a fresh v3 journal for `cfg`'s shard `shard`, truncating
-    /// any previous file. Stamps priors hash 0 ("no cost priors") —
-    /// runs scheduling from a priors table use [`Journal::create_with_priors`].
-    pub fn create(path: &Path, cfg: &EvalConfig, shard: ShardSpec) -> std::io::Result<Journal> {
-        Journal::create_with_priors(path, cfg, shard, 0)
-    }
-
-    /// [`Journal::create`] with the run's [`pcg_core::CostPriors`] hash
-    /// stamped into the header. Sharded runs must agree on the priors
-    /// (they determine which cells each shard owns), so the hash is
-    /// part of the journal's identity: replay and merge reject a
-    /// journal whose stamp disagrees with the active priors.
-    pub fn create_with_priors(
-        path: &Path,
-        cfg: &EvalConfig,
-        shard: ShardSpec,
-        priors_hash: u64,
-    ) -> std::io::Result<Journal> {
-        Journal::create_sourced(path, cfg, &[], shard, priors_hash)
-    }
-
-    /// [`Journal::create_with_priors`] with a candidate-source salt:
-    /// the header's config hash becomes [`config_hash_with`], so a
-    /// journal written against one candidate pool can never replay
-    /// into a run scoring a different one. The empty salt is the
-    /// synthetic default and writes byte-identical headers.
+    /// Start a fresh journal for `cfg`'s shard `shard`, truncating any
+    /// previous file. The header carries the [`JournalKey`] of
+    /// `(cfg, salt, shard, priors_hash)`: the salt is the candidate
+    /// source's (empty for the synthetic default, which writes the
+    /// unsalted config hash), and `priors_hash` is the
+    /// [`pcg_core::CostPriors`] hash the run schedules under (0 for
+    /// none). Replay and merge reject a journal whose key disagrees
+    /// with the active run's.
     pub fn create_sourced(
         path: &Path,
         cfg: &EvalConfig,
@@ -316,21 +286,14 @@ impl Journal {
             std::fs::create_dir_all(dir)?;
         }
         let mut file = File::create(path)?;
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        frame::encode_frame_into(
-            &mut bytes,
-            HEADER_CELL,
-            &header_payload(config_hash_with(cfg, salt), shard, priors_hash),
-        );
-        file.write_all(&bytes)?;
+        file.write_all(&JournalKey::new(cfg, salt, shard, priors_hash).header_bytes())?;
         file.sync_data()?;
         Ok(Journal { file: Mutex::new(file) })
     }
 
-    /// Continue appending to an existing v3 journal (resume). The
-    /// caller must have validated the header via [`load_counting`] and
-    /// compacted first if the file [`Loaded::needs_compaction`] —
-    /// appending binary frames to a v2 JSONL file would corrupt it.
+    /// Continue appending to an existing journal (resume). The caller
+    /// must have validated the header via [`load`] and compacted first
+    /// if the file [`Loaded::needs_compaction`].
     pub fn open_append(path: &Path) -> std::io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Journal { file: Mutex::new(file) })
@@ -371,190 +334,28 @@ impl Journal {
     }
 }
 
-/// Load the replayable cells of the journal at `path` for `cfg`'s
-/// shard `shard`.
+/// Load the replayable cells of the journal at `path` written under
+/// `key`, reporting stale-frame counts (the compaction trigger) and
+/// rejection diagnostics.
 ///
-/// Returns an empty map when the file is missing, unreadable, or
-/// carries a header for a different config/version/shard. A torn or
-/// corrupt frame — including a CRC-valid frame whose stored cell id
-/// disagrees with the id recomputed from its `(model, task)` under
-/// `cfg` — truncates the replay there: everything before it is kept,
-/// everything after it is discarded (it may describe cells appended
-/// after the corruption, but trusting a journal past its first bad
-/// byte is how resumed runs diverge — re-evaluating is always safe).
-pub fn load(path: &Path, cfg: &EvalConfig, shard: ShardSpec) -> Replay {
-    load_counting(path, cfg, shard).replay
-}
-
-/// [`load`], additionally reporting stale-frame counts (the compaction
-/// trigger), rejection diagnostics, and the on-disk format found.
-/// Expects a journal written without cost priors (hash 0).
-pub fn load_counting(path: &Path, cfg: &EvalConfig, shard: ShardSpec) -> Loaded {
-    load_counting_with_priors(path, cfg, shard, 0)
-}
-
-/// [`load_counting`] for a run scheduling from a priors table: the
-/// journal's stamped priors hash must equal `priors_hash`, or nothing
-/// is replayed. Priors change which cells a shard owns, so replaying a
-/// journal written under different priors would resurrect cells this
-/// worker no longer owns (and silently drop cells it now does).
-pub fn load_counting_with_priors(
-    path: &Path,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    priors_hash: u64,
-) -> Loaded {
-    load_counting_sourced(path, cfg, &[], shard, priors_hash)
-}
-
-/// [`load_counting_with_priors`] for a run scoring a salted candidate
-/// source: the journal's header must carry [`config_hash_with`] of
-/// `(cfg, salt)` or nothing is replayed. The empty salt is the
-/// synthetic default and gates identically to the unsalted loaders.
-pub fn load_counting_sourced(
-    path: &Path,
-    cfg: &EvalConfig,
-    salt: &[u8],
-    shard: ShardSpec,
-    priors_hash: u64,
-) -> Loaded {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(_) => return Loaded::empty(),
-    };
-    if bytes.starts_with(&JOURNAL_MAGIC) {
-        load_v3(&bytes, config_hash_with(cfg, salt), shard, priors_hash)
-    } else {
-        // v2 predates priors and candidate sources entirely: only a
-        // no-priors, default-source run may replay it.
-        if priors_hash != 0 || !salt.is_empty() {
-            return Loaded::empty();
-        }
-        load_v2(&bytes, cfg, shard)
-    }
-}
-
-/// The priors hash stamped in the journal header at `path`, without
-/// validating anything else: `Some(h)` for a readable v3 header,
-/// `Some(0)` for a v2 header (which predates priors), `None` when the
-/// file is missing or its header is unreadable. `--merge-shards` uses
-/// this to reject workers that partitioned the grid under different
-/// priors before attempting replay.
-pub fn peek_priors_hash(path: &Path) -> Option<u64> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.starts_with(&JOURNAL_MAGIC) {
-        let header = match frame::decode_frame(&bytes, JOURNAL_MAGIC.len()) {
-            Some(Ok(f)) if f.cell == HEADER_CELL => f,
-            _ => return None,
-        };
-        let mut r = ByteReader::new(header.payload);
-        if !r.u32().is_ok_and(|v| v == VERSION) {
-            return None;
-        }
-        let _chash = r.u64().ok()?;
-        let _index = r.u32().ok()?;
-        let _count = r.u32().ok()?;
-        if r.is_exhausted() {
-            // Pre-priors v3 header: written before the hash field
-            // existed, so by definition no priors were in play.
-            return Some(0);
-        }
-        let hash = r.u64().ok()?;
-        r.is_exhausted().then_some(hash)
-    } else {
-        let text = std::str::from_utf8(&bytes).ok()?;
-        let header_line = text.split('\n').next()?;
-        let h: HeaderV2 = serde_json::from_str(header_line).ok()?;
-        (h.version == 2).then_some(0)
-    }
-}
-
-/// A sibling journal's structurally visible progress: which cells it
-/// has journaled results for and which it has merely claimed. This is
-/// what a work-stealing worker reads to find stealable cells.
-#[derive(Debug, Default, Clone)]
-pub struct Progress {
-    /// Cell ids with a result frame on disk. A cell can appear in both
-    /// sets (claimed, then completed) — `done` wins for any purpose.
-    pub done: std::collections::HashSet<u64>,
-    /// Cell ids with a claim frame on disk.
-    pub claimed: std::collections::HashSet<u64>,
-}
-
-/// Peek one sibling shard journal's progress **without full replay**:
-/// the header is gated exactly like [`load_counting_with_priors`]
-/// (version, config hash, shard geometry, priors hash), then frames
-/// are walked CRC-checked but entry payloads are never decoded — cell
-/// ids come from the (CRC-covered) frame tags. The walk stops at the
-/// first torn or corrupt frame, trusting only the clean prefix.
-///
-/// `None` means the journal is missing, not v3, or gated out — the
-/// caller should treat the sibling as having made no visible progress
-/// (every cell stealable; a stolen result is valid for the thief's own
-/// plan regardless of what the victim's file said). The peek is
-/// advisory only: a stale read means duplicated work at worst, since
-/// results are deterministic per cell and merge folds duplicates.
-pub fn peek_progress(
-    path: &Path,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    priors_hash: u64,
-) -> Option<Progress> {
-    peek_progress_sourced(path, cfg, &[], shard, priors_hash)
-}
-
-/// [`peek_progress`] with a candidate-source salt, gated on
-/// [`config_hash_with`] like [`load_counting_sourced`] — a thief must
-/// never steal cells journaled against a different candidate pool.
-pub fn peek_progress_sourced(
-    path: &Path,
-    cfg: &EvalConfig,
-    salt: &[u8],
-    shard: ShardSpec,
-    priors_hash: u64,
-) -> Option<Progress> {
-    let bytes = std::fs::read(path).ok()?;
-    if !bytes.starts_with(&JOURNAL_MAGIC) {
-        return None;
-    }
-    let header = match frame::decode_frame(&bytes, JOURNAL_MAGIC.len()) {
-        Some(Ok(f)) if f.cell == HEADER_CELL => f,
-        _ => return None,
-    };
-    if !header_matches(header.payload, config_hash_with(cfg, salt), shard, priors_hash) {
-        return None;
-    }
-    let mut progress = Progress::default();
-    let mut offset = header.end;
-    while let Some(Ok(f)) = frame::decode_frame(&bytes, offset) {
-        if codec::decode_claim(f.payload).is_some() {
-            progress.claimed.insert(f.cell);
-        } else {
-            progress.done.insert(f.cell);
-        }
-        offset = f.end;
-    }
-    Some(progress)
-}
-
-fn load_v3(bytes: &[u8], chash: u64, shard: ShardSpec, priors_hash: u64) -> Loaded {
-    let mut loaded = Loaded::empty();
-
+/// Loads empty — no replay, no reject — when the file is missing,
+/// unreadable, not a v3 journal, or carries a header for a different
+/// key. A torn or corrupt frame — including a CRC-valid frame whose
+/// stored cell id disagrees with the id recomputed from its
+/// `(model, task)` under the key's config hash — truncates the replay
+/// there: everything before it is kept, everything after it is
+/// discarded (it may describe cells appended after the corruption, but
+/// trusting a journal past its first bad byte is how resumed runs
+/// diverge — re-evaluating is always safe).
+pub fn load(path: &Path, key: &JournalKey) -> Loaded {
+    let mut loaded = Loaded::default();
+    let Ok(bytes) = std::fs::read(path) else { return loaded };
     // Frame 0: the header. Any defect here — torn, bad CRC, wrong
-    // version/config/shard — means nothing in the file is replayable.
-    let header = match frame::decode_frame(bytes, JOURNAL_MAGIC.len()) {
-        Some(Ok(f)) if f.cell == HEADER_CELL => f,
-        _ => return loaded,
-    };
-    if !header_matches(header.payload, chash, shard, priors_hash) {
-        return loaded;
-    }
-    loaded.format = Some(JournalFormat::V3);
-
-    let mut offset = header.end;
+    // version/config/shard/priors — means nothing is replayable.
+    let Some(mut offset) = key.entries_start(&bytes) else { return loaded };
     let mut frame_idx = 1usize;
     loop {
-        let f = match frame::decode_frame(bytes, offset) {
+        let f = match frame::decode_frame(&bytes, offset) {
             None => break,
             Some(Ok(f)) => f,
             Some(Err(e)) => {
@@ -565,8 +366,8 @@ fn load_v3(bytes: &[u8], chash: u64, shard: ShardSpec, priors_hash: u64) -> Load
                     FrameError::BadCrc { cell, .. } => Some(cell),
                     FrameError::TornTail { .. } => None,
                 };
-                let after = tail_extent(bytes, offset, &e);
-                loaded.stale_frames += 1 + count_tail_frames(bytes, after);
+                let after = tail_extent(&bytes, offset, &e);
+                loaded.stale_frames += 1 + count_tail_frames(&bytes, after);
                 loaded.rejects.push(Reject {
                     offset: offset as u64,
                     frame: frame_idx,
@@ -599,16 +400,16 @@ fn load_v3(bytes: &[u8], chash: u64, shard: ShardSpec, priors_hash: u64) -> Load
             Err(e) => {
                 // CRC-valid but undecodable: can only happen across an
                 // incompatible codec change. Same corruption policy.
-                loaded.stale_frames += 1 + count_tail_frames(bytes, f.end);
+                loaded.stale_frames += 1 + count_tail_frames(&bytes, f.end);
                 loaded.rejects.push(reject(format!("payload does not decode: {e}")));
                 return loaded;
             }
         };
-        let id = CellId::new(chash, &model, record.task);
+        let id = CellId::new(key.config_hash, &model, record.task);
         if id.0 != f.cell {
             // Self-check failed: the frame decoded but does not
             // describe the cell it claims to.
-            loaded.stale_frames += 1 + count_tail_frames(bytes, f.end);
+            loaded.stale_frames += 1 + count_tail_frames(&bytes, f.end);
             loaded.rejects.push(reject(format!(
                 "cell self-check failed: recomputed {:016x} from the entry's own fields",
                 id.0
@@ -625,6 +426,54 @@ fn load_v3(bytes: &[u8], chash: u64, shard: ShardSpec, priors_hash: u64) -> Load
         frame_idx += 1;
     }
     loaded
+}
+
+/// The priors hash stamped in the journal header at `path`, without
+/// validating anything else: `None` when the file is missing or its
+/// header does not decode. `--merge-shards` uses this to reject
+/// workers that partitioned the grid under different priors before
+/// attempting replay.
+pub fn peek_priors_hash(path: &Path) -> Option<u64> {
+    JournalKey::read(&std::fs::read(path).ok()?).map(|(key, _)| key.priors_hash)
+}
+
+/// A sibling journal's structurally visible progress: which cells it
+/// has journaled results for and which it has merely claimed. This is
+/// what a work-stealing worker reads to find stealable cells.
+#[derive(Debug, Default, Clone)]
+pub struct Progress {
+    /// Cell ids with a result frame on disk. A cell can appear in both
+    /// sets (claimed, then completed) — `done` wins for any purpose.
+    pub done: std::collections::HashSet<u64>,
+    /// Cell ids with a claim frame on disk.
+    pub claimed: std::collections::HashSet<u64>,
+}
+
+/// Peek one sibling shard journal's progress **without full replay**:
+/// the header is gated on `key` exactly like [`load`], then frames are
+/// walked CRC-checked but entry payloads are never decoded — cell ids
+/// come from the (CRC-covered) frame tags. The walk stops at the first
+/// torn or corrupt frame, trusting only the clean prefix.
+///
+/// `None` means the journal is missing, not v3, or gated out — the
+/// caller should treat the sibling as having made no visible progress
+/// (every cell stealable; a stolen result is valid for the thief's own
+/// plan regardless of what the victim's file said). The peek is
+/// advisory only: a stale read means duplicated work at worst, since
+/// results are deterministic per cell and merge folds duplicates.
+pub fn peek_progress(path: &Path, key: &JournalKey) -> Option<Progress> {
+    let bytes = std::fs::read(path).ok()?;
+    let mut offset = key.entries_start(&bytes)?;
+    let mut progress = Progress::default();
+    while let Some(Ok(f)) = frame::decode_frame(&bytes, offset) {
+        if codec::decode_claim(f.payload).is_some() {
+            progress.claimed.insert(f.cell);
+        } else {
+            progress.done.insert(f.cell);
+        }
+        offset = f.end;
+    }
+    Some(progress)
 }
 
 /// Where the untrusted tail begins, one past the rejected frame: a
@@ -660,132 +509,18 @@ fn count_tail_frames(bytes: &[u8], mut offset: usize) -> usize {
     n
 }
 
-/// The v2 JSONL fallback loader: same policy as v2 shipped with, plus
-/// offset/line diagnostics, reported as [`JournalFormat::V2Jsonl`] so
-/// resume migrates the file.
-fn load_v2(bytes: &[u8], cfg: &EvalConfig, shard: ShardSpec) -> Loaded {
-    let mut loaded = Loaded::empty();
-    let text = match std::str::from_utf8(bytes) {
-        Ok(t) => t,
-        Err(_) => return loaded,
-    };
-    let chash = config_hash(cfg);
-    // Track each line's byte offset; a trailing newline yields a final
-    // empty piece that is not a line.
-    let mut lines = Vec::new();
-    let mut start = 0usize;
-    for piece in text.split('\n') {
-        lines.push((start, piece));
-        start += piece.len() + 1;
-    }
-    if let Some(&(_, last)) = lines.last() {
-        if last.is_empty() {
-            lines.pop();
-        }
-    }
-    let Some(&(_, header_line)) = lines.first() else {
-        return loaded;
-    };
-    let expected = HeaderV2 {
-        version: 2,
-        config_hash: chash,
-        shard_index: shard.index,
-        shard_count: shard.count,
-    };
-    match serde_json::from_str::<HeaderV2>(header_line) {
-        Ok(h) if h == expected => {}
-        _ => return loaded,
-    }
-    loaded.format = Some(JournalFormat::V2Jsonl);
-    for (i, &(offset, line)) in lines.iter().enumerate().skip(1) {
-        let reject = |cell: Option<u64>, reason: String| Reject {
-            offset: offset as u64,
-            frame: i,
-            cell,
-            reason,
-        };
-        let entry: EntryV2 = match serde_json::from_str(line) {
-            Ok(e) => e,
-            Err(_) => {
-                // Torn or corrupt line: truncate replay here. The bad
-                // line and everything after it are stale.
-                loaded.stale_frames += lines.len() - i;
-                loaded.rejects.push(reject(None, "line is not a valid v2 entry".to_string()));
-                return loaded;
-            }
-        };
-        let id = CellId::new(chash, &entry.model, entry.record.task);
-        if id.0 != entry.cell {
-            loaded.stale_frames += lines.len() - i;
-            loaded.rejects.push(reject(
-                Some(entry.cell),
-                format!(
-                    "cell self-check failed: recomputed {:016x} from the entry's own fields",
-                    id.0
-                ),
-            ));
-            return loaded;
-        }
-        if loaded
-            .replay
-            .insert(id, ReplayCell { model: entry.model, record: entry.record })
-            .is_some()
-        {
-            loaded.stale_frames += 1;
-        }
-    }
-    loaded
-}
-
 /// Rewrite the journal at `path` atomically with exactly `replay`
-/// folded in — one v3 frame per completed cell, in deterministic (cell
-/// id) order, no torn bytes, no shadowed duplicates. Returns the
-/// number of entries written. Readers (and crashes) observe either the
-/// old journal or the compacted one, never a hybrid. Compacting a v2
-/// journal is the migration step: the rewrite is always v3.
-pub fn compact(
-    path: &Path,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    replay: &Replay,
-) -> std::io::Result<usize> {
-    compact_with_priors(path, cfg, shard, 0, replay)
-}
-
-/// [`compact`] preserving the run's priors hash in the rewritten
-/// header, so a compacted journal replays under the same priors check
-/// as the original.
-pub fn compact_with_priors(
-    path: &Path,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    priors_hash: u64,
-    replay: &Replay,
-) -> std::io::Result<usize> {
-    compact_sourced(path, cfg, &[], shard, priors_hash, replay)
-}
-
-/// [`compact_with_priors`] preserving a candidate-source salt in the
-/// rewritten header (via [`config_hash_with`]), so a compacted salted
-/// journal replays under the same source check as the original.
-pub fn compact_sourced(
-    path: &Path,
-    cfg: &EvalConfig,
-    salt: &[u8],
-    shard: ShardSpec,
-    priors_hash: u64,
-    replay: &Replay,
-) -> std::io::Result<usize> {
+/// folded in under `key`'s header — one frame per completed cell, in
+/// deterministic (cell id) order, no torn bytes, no shadowed
+/// duplicates. Returns the number of entries written. Readers (and
+/// crashes) observe either the old journal or the compacted one, never
+/// a hybrid.
+pub fn compact(path: &Path, key: &JournalKey, replay: &Replay) -> std::io::Result<usize> {
     let mut os = path.as_os_str().to_os_string();
     os.push(crate::pipeline::unique_suffix("compact"));
     let tmp = PathBuf::from(os);
     let result = (|| {
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        frame::encode_frame_into(
-            &mut bytes,
-            HEADER_CELL,
-            &header_payload(config_hash_with(cfg, salt), shard, priors_hash),
-        );
+        let mut bytes = key.header_bytes();
         let mut cells: Vec<(&CellId, &ReplayCell)> = replay.iter().collect();
         cells.sort_by_key(|(id, _)| **id);
         for (id, cell) in &cells {
@@ -832,38 +567,6 @@ pub fn entry_offsets(path: &Path) -> Vec<u64> {
     offsets
 }
 
-/// Write a v2 JSONL journal — the legacy layout — for migration tests
-/// and the replay benchmark's baseline. Production writers only emit
-/// v3; this is the fixture generator that keeps the migration path
-/// honest.
-pub fn write_v2_journal(
-    path: &Path,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    entries: &[(CellId, String, TaskRecord)],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let header = HeaderV2 {
-        version: 2,
-        config_hash: config_hash(cfg),
-        shard_index: shard.index,
-        shard_count: shard.count,
-    };
-    let mut out = serde_json::to_string(&header).map_err(std::io::Error::other)?;
-    out.push('\n');
-    for (cell, model, record) in entries {
-        let entry =
-            EntryV2 { cell: cell.0, model: model.clone(), record: record.clone() };
-        out.push_str(&serde_json::to_string(&entry).map_err(std::io::Error::other)?);
-        out.push('\n');
-    }
-    let mut file = File::create(path)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_data()
-}
-
 /// Delete a journal (after its run committed the final record).
 pub fn remove(path: &Path) {
     let _ = std::fs::remove_file(path);
@@ -893,6 +596,15 @@ mod tests {
         CellId::new(config_hash(cfg), model, r.task)
     }
 
+    /// The key of an unsalted, no-priors run.
+    fn key(cfg: &EvalConfig, shard: ShardSpec) -> JournalKey {
+        JournalKey::new(cfg, &[], shard, 0)
+    }
+
+    fn new_journal(path: &Path, cfg: &EvalConfig, shard: ShardSpec) -> Journal {
+        Journal::create_sourced(path, cfg, &[], shard, 0).unwrap()
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pcgbench-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -903,7 +615,7 @@ mod tests {
     fn roundtrip_and_cell_keyed_replay() {
         let cfg = EvalConfig::smoke();
         let path = tmp("roundtrip");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap();
         j.append(cell_of(&cfg, "CodeLlama-7B", &rec(0)), "CodeLlama-7B", &rec(0)).unwrap();
@@ -913,8 +625,7 @@ mod tests {
             std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC),
             "production journals are v3"
         );
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
-        assert_eq!(loaded.format, Some(JournalFormat::V3));
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert!(!loaded.needs_compaction());
         let replay = loaded.replay;
         assert_eq!(replay.len(), 3);
@@ -923,7 +634,7 @@ mod tests {
         assert_eq!(got.record.low.built, vec![true, false]);
         assert_eq!(got.record.low.ratio, vec![3.5, 0.0]);
         remove(&path);
-        assert!(load(&path, &cfg, ShardSpec::WHOLE).is_empty());
+        assert!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.is_empty());
     }
 
     #[test]
@@ -936,29 +647,29 @@ mod tests {
         // A journal written under one pool's salt: its cells are keyed
         // by the salted hash.
         let path = tmp("sourced");
-        let chash = config_hash_with(&cfg, &salt);
+        let salted = JournalKey::new(&cfg, &salt, ShardSpec::WHOLE, 0);
+        assert_eq!(salted.config_hash, config_hash_with(&cfg, &salt));
         let r = rec(0);
-        let cell = CellId::new(chash, "GPT-4", r.task);
+        let cell = CellId::new(salted.config_hash, "GPT-4", r.task);
         let j = Journal::create_sourced(&path, &cfg, &salt, ShardSpec::WHOLE, 0).unwrap();
         j.append(cell, "GPT-4", &r).unwrap();
         drop(j);
 
         // Same salt replays; no salt or a different pool replays
-        // nothing — and the unsalted loader path gates out too.
-        let same = load_counting_sourced(&path, &cfg, &salt, ShardSpec::WHOLE, 0);
+        // nothing — and the unsalted peek gates out too.
+        let same = load(&path, &salted);
         assert_eq!(same.replay.len(), 1);
         assert!(same.replay.contains_key(&cell));
-        let other = load_counting_sourced(&path, &cfg, b"pool-B", ShardSpec::WHOLE, 0);
+        let other = load(&path, &JournalKey::new(&cfg, b"pool-B", ShardSpec::WHOLE, 0));
         assert!(other.replay.is_empty());
-        assert!(load(&path, &cfg, ShardSpec::WHOLE).is_empty());
-        assert!(peek_progress(&path, &cfg, ShardSpec::WHOLE, 0).is_none());
-        let peek =
-            peek_progress_sourced(&path, &cfg, &salt, ShardSpec::WHOLE, 0).unwrap();
+        assert!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.is_empty());
+        assert!(peek_progress(&path, &key(&cfg, ShardSpec::WHOLE)).is_none());
+        let peek = peek_progress(&path, &salted).unwrap();
         assert!(peek.done.contains(&cell.0));
 
         // Compaction preserves the salt.
-        compact_sourced(&path, &cfg, &salt, ShardSpec::WHOLE, 0, &same.replay).unwrap();
-        let again = load_counting_sourced(&path, &cfg, &salt, ShardSpec::WHOLE, 0);
+        compact(&path, &salted, &same.replay).unwrap();
+        let again = load(&path, &salted);
         assert_eq!(again.replay.len(), 1);
         remove(&path);
     }
@@ -968,10 +679,10 @@ mod tests {
         let cfg = EvalConfig::smoke();
         let path = tmp("bytes");
         let original = rec(2);
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &original), "GPT-4", &original).unwrap();
         drop(j);
-        let replay = load(&path, &cfg, ShardSpec::WHOLE);
+        let replay = load(&path, &key(&cfg, ShardSpec::WHOLE)).replay;
         let back = &replay[&cell_of(&cfg, "GPT-4", &original)];
         assert_eq!(
             serde_json::to_string(&original).unwrap(),
@@ -985,7 +696,7 @@ mod tests {
         let cfg = EvalConfig::smoke();
         let path = tmp("claims");
         let spec = ShardSpec::new(1, 3);
-        let j = Journal::create(&path, &cfg, spec).unwrap();
+        let j = new_journal(&path, &cfg, spec);
         let done = cell_of(&cfg, "GPT-4", &rec(0));
         j.append(done, "GPT-4", &rec(0)).unwrap();
         // Claim two cells, then complete only one — the other is a
@@ -996,8 +707,7 @@ mod tests {
         j.append(c1, "GPT-4", &rec(1)).unwrap();
         drop(j);
 
-        let loaded = load_counting(&path, &cfg, spec);
-        assert_eq!(loaded.format, Some(JournalFormat::V3));
+        let loaded = load(&path, &key(&cfg, spec));
         assert_eq!(loaded.replay.len(), 2, "claims never replay");
         assert!(loaded.replay.contains_key(&done));
         assert!(loaded.replay.contains_key(&c1));
@@ -1008,8 +718,8 @@ mod tests {
 
         // Compaction folds the claims away: the unfinished claim's
         // cell is simply absent — stealable / gap-fillable again.
-        compact(&path, &cfg, spec, &loaded.replay).unwrap();
-        let again = load_counting(&path, &cfg, spec);
+        compact(&path, &key(&cfg, spec), &loaded.replay).unwrap();
+        let again = load(&path, &key(&cfg, spec));
         assert_eq!(again.replay.len(), 2);
         assert_eq!(again.stale_frames, 0);
         assert!(!again.needs_compaction());
@@ -1021,33 +731,33 @@ mod tests {
         let cfg = EvalConfig::smoke();
         let path = tmp("peek");
         let spec = ShardSpec::new(0, 3);
-        let j = Journal::create(&path, &cfg, spec).unwrap();
+        let j = new_journal(&path, &cfg, spec);
         let done = cell_of(&cfg, "GPT-4", &rec(0));
         let claimed = cell_of(&cfg, "GPT-4", &rec(1));
         j.append(done, "GPT-4", &rec(0)).unwrap();
         j.append_claims(&[claimed], 2).unwrap();
         drop(j);
 
-        let p = peek_progress(&path, &cfg, spec, 0).unwrap();
+        let p = peek_progress(&path, &key(&cfg, spec)).unwrap();
         assert!(p.done.contains(&done.0));
         assert!(p.claimed.contains(&claimed.0));
         assert_eq!((p.done.len(), p.claimed.len()), (1, 1));
 
         // Gated exactly like replay: wrong geometry, wrong config,
         // wrong priors hash, or a missing file sees no progress.
-        assert!(peek_progress(&path, &cfg, ShardSpec::new(1, 3), 0).is_none());
-        assert!(peek_progress(&path, &cfg, spec, 7).is_none());
+        assert!(peek_progress(&path, &key(&cfg, ShardSpec::new(1, 3))).is_none());
+        assert!(peek_progress(&path, &JournalKey::new(&cfg, &[], spec, 7)).is_none());
         let mut other = EvalConfig::smoke();
         other.seed += 1;
-        assert!(peek_progress(&path, &other, spec, 0).is_none());
-        assert!(peek_progress(&tmp("peek-missing"), &cfg, spec, 0).is_none());
+        assert!(peek_progress(&path, &key(&other, spec)).is_none());
+        assert!(peek_progress(&tmp("peek-missing"), &key(&cfg, spec)).is_none());
 
         // A torn tail truncates the peek to the clean prefix.
         let mut bytes = std::fs::read(&path).unwrap();
         let torn = frame::encode_frame(999, &codec::encode_entry("GPT-4", &rec(2)));
         bytes.extend_from_slice(&torn[..torn.len() - 3]);
         std::fs::write(&path, &bytes).unwrap();
-        let p = peek_progress(&path, &cfg, spec, 0).unwrap();
+        let p = peek_progress(&path, &key(&cfg, spec)).unwrap();
         assert_eq!((p.done.len(), p.claimed.len()), (1, 1));
         remove(&path);
     }
@@ -1056,16 +766,16 @@ mod tests {
     fn config_or_shard_mismatch_replays_nothing() {
         let cfg = EvalConfig::smoke();
         let path = tmp("mismatch");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         drop(j);
         let mut other = EvalConfig::smoke();
         other.seed += 1;
         assert_ne!(config_hash(&cfg), config_hash(&other));
-        assert!(load(&path, &other, ShardSpec::WHOLE).is_empty());
+        assert!(load(&path, &key(&other, ShardSpec::WHOLE)).replay.is_empty());
         // A whole-grid journal must not replay into a shard worker.
-        assert!(load(&path, &cfg, ShardSpec::new(0, 3)).is_empty());
-        assert_eq!(load(&path, &cfg, ShardSpec::WHOLE).len(), 1);
+        assert!(load(&path, &key(&cfg, ShardSpec::new(0, 3))).replay.is_empty());
+        assert_eq!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.len(), 1);
         remove(&path);
     }
 
@@ -1073,7 +783,7 @@ mod tests {
     fn torn_frame_truncates_replay_and_counts_stale() {
         let cfg = EvalConfig::smoke();
         let path = tmp("torn");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap();
         drop(j);
@@ -1085,7 +795,7 @@ mod tests {
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&path, &bytes).unwrap();
 
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert_eq!(loaded.replay.len(), 2, "replay stops at the torn frame");
         assert_eq!(loaded.stale_frames, 1, "the torn frame is stale");
         assert!(loaded.needs_compaction());
@@ -1099,7 +809,7 @@ mod tests {
             frame::encode_frame(cell_of(&cfg, "CodeLlama-7B", &rec(3)).0, &codec::encode_entry("CodeLlama-7B", &rec(3)));
         bytes.extend_from_slice(&whole);
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert_eq!(loaded.replay.len(), 2);
         assert!(!loaded.replay.contains_key(&cell_of(&cfg, "CodeLlama-7B", &rec(3))));
         remove(&path);
@@ -1109,7 +819,7 @@ mod tests {
     fn bit_flip_is_rejected_with_location() {
         let cfg = EvalConfig::smoke();
         let path = tmp("flip");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap();
         drop(j);
@@ -1120,7 +830,7 @@ mod tests {
         let target = offsets[0] as usize + FRAME_OVERHEAD + 2;
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert!(loaded.replay.is_empty(), "nothing after the flip is trusted");
         assert_eq!(loaded.stale_frames, 2, "the corrupt frame and the structural tail");
         assert_eq!(loaded.rejects.len(), 1);
@@ -1134,7 +844,7 @@ mod tests {
     fn forged_cell_id_is_treated_as_corruption() {
         let cfg = EvalConfig::smoke();
         let path = tmp("forged");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         // An entry whose stored id belongs to a different cell. The
         // frame CRC is valid (it was written that way), so only the
@@ -1142,7 +852,7 @@ mod tests {
         j.append(cell_of(&cfg, "GPT-4", &rec(2)), "GPT-4", &rec(1)).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(3)), "GPT-4", &rec(3)).unwrap();
         drop(j);
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert_eq!(loaded.replay.len(), 1, "replay truncates at the forged frame");
         assert_eq!(loaded.stale_frames, 2);
         assert_eq!(loaded.rejects.len(), 1);
@@ -1155,7 +865,8 @@ mod tests {
     fn duplicate_appends_fold_to_last_write_and_compact() {
         let cfg = EvalConfig::smoke();
         let path = tmp("dup");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let k = key(&cfg, ShardSpec::WHOLE);
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         let mut first = rec(0);
         first.low.ratio = vec![1.0, 0.0];
         j.append(cell_of(&cfg, "GPT-4", &first), "GPT-4", &first).unwrap();
@@ -1164,7 +875,7 @@ mod tests {
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         drop(j);
 
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &k);
         assert_eq!(loaded.replay.len(), 2);
         assert_eq!(loaded.stale_frames, 1, "the shadowed first append is stale");
         assert!(loaded.rejects.is_empty(), "duplicates are tolerated, not rejected");
@@ -1175,8 +886,8 @@ mod tests {
         );
 
         // Compaction rewrites to exactly the replayable generation...
-        compact(&path, &cfg, ShardSpec::WHOLE, &loaded.replay).unwrap();
-        let again = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        compact(&path, &k, &loaded.replay).unwrap();
+        let again = load(&path, &k);
         assert_eq!(again.stale_frames, 0, "a compacted journal has no stale frames");
         assert_eq!(again.replay.len(), 2);
         // ...and the compacted journal still replays byte-identically.
@@ -1188,7 +899,7 @@ mod tests {
         let j = Journal::open_append(&path).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(4)), "GPT-4", &rec(4)).unwrap();
         drop(j);
-        assert_eq!(load(&path, &cfg, ShardSpec::WHOLE).len(), 3);
+        assert_eq!(load(&path, &k).replay.len(), 3);
         remove(&path);
     }
 
@@ -1196,67 +907,53 @@ mod tests {
     fn append_after_resume_extends_the_same_journal() {
         let cfg = EvalConfig::smoke();
         let path = tmp("extend");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         drop(j);
         let j = Journal::open_append(&path).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap();
         drop(j);
-        assert_eq!(load(&path, &cfg, ShardSpec::WHOLE).len(), 2);
+        assert_eq!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.len(), 2);
         remove(&path);
     }
 
     #[test]
-    fn v2_jsonl_journals_remain_readable_and_demand_migration() {
+    fn v2_jsonl_journal_loads_empty_and_resume_recreates_v3() {
         let cfg = EvalConfig::smoke();
         let path = tmp("v2");
-        let entries: Vec<(CellId, String, TaskRecord)> = (0..3)
-            .map(|v| (cell_of(&cfg, "GPT-4", &rec(v)), "GPT-4".to_string(), rec(v)))
-            .collect();
-        write_v2_journal(&path, &cfg, ShardSpec::WHOLE, &entries).unwrap();
+        let k = key(&cfg, ShardSpec::WHOLE);
+        // A v2 JSONL journal, header line plus one entry line, as a
+        // pre-v3 run left it.
+        let id = cell_of(&cfg, "GPT-4", &rec(0));
+        let jsonl = format!(
+            "{{\"version\":2,\"config_hash\":{},\"shard_index\":0,\"shard_count\":1}}\n\
+             {{\"cell\":{},\"model\":\"GPT-4\",\"record\":{}}}\n",
+            k.config_hash,
+            id.0,
+            serde_json::to_string(&rec(0)).unwrap(),
+        );
+        std::fs::write(&path, jsonl).unwrap();
 
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
-        assert_eq!(loaded.format, Some(JournalFormat::V2Jsonl));
-        assert_eq!(loaded.replay.len(), 3);
+        let loaded = load(&path, &k);
+        assert!(loaded.replay.is_empty(), "a file without the v3 magic replays nothing");
+        assert!(loaded.rejects.is_empty(), "a foreign file is not corruption");
         assert_eq!(loaded.stale_frames, 0);
-        assert!(loaded.needs_compaction(), "a clean v2 journal still migrates on resume");
-        // The v2 replay is byte-identical to the original records.
-        assert_eq!(
-            serde_json::to_string(&loaded.replay[&entries[1].0].record).unwrap(),
-            serde_json::to_string(&rec(1)).unwrap(),
-        );
+        assert_eq!(peek_priors_hash(&path), None);
+        assert!(peek_progress(&path, &k).is_none());
 
-        // Migration: compact rewrites as v3; replay is unchanged.
-        compact(&path, &cfg, ShardSpec::WHOLE, &loaded.replay).unwrap();
+        // Resume finds nothing to replay, so the run starts a fresh v3
+        // journal over the old file.
+        let resumed = crate::pipeline::resume_journal(&path, &cfg, &[], ShardSpec::WHOLE, 0);
+        assert!(resumed.replay.is_empty());
+        assert_eq!((resumed.compacted, resumed.rejected), (0, 0));
+        let j = resumed.open(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
         assert!(std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC));
-        let migrated = load_counting(&path, &cfg, ShardSpec::WHOLE);
-        assert_eq!(migrated.format, Some(JournalFormat::V3));
-        assert!(!migrated.needs_compaction());
-        assert_eq!(migrated.replay.len(), 3);
-        assert_eq!(
-            serde_json::to_string(&migrated.replay[&entries[2].0].record).unwrap(),
-            serde_json::to_string(&rec(2)).unwrap(),
-        );
-        remove(&path);
-    }
-
-    #[test]
-    fn v2_torn_line_reports_offset_and_line() {
-        let cfg = EvalConfig::smoke();
-        let path = tmp("v2-torn");
-        let entries: Vec<(CellId, String, TaskRecord)> =
-            vec![(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4".to_string(), rec(0))];
-        write_v2_journal(&path, &cfg, ShardSpec::WHOLE, &entries).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let torn_offset = bytes.len() as u64;
-        bytes.extend_from_slice(b"{\"cell\":1,\"model\":\"GPT-4\",\"rec");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
-        assert_eq!(loaded.replay.len(), 1);
-        assert_eq!(loaded.stale_frames, 1);
-        assert_eq!(loaded.rejects.len(), 1);
-        assert_eq!((loaded.rejects[0].offset, loaded.rejects[0].frame), (torn_offset, 2));
+        j.append(id, "GPT-4", &rec(0)).unwrap();
+        drop(j);
+        let again = load(&path, &k);
+        assert_eq!(again.replay.len(), 1);
+        assert!(again.rejects.is_empty() && !again.needs_compaction());
+        assert_eq!(peek_priors_hash(&path), Some(0));
         remove(&path);
     }
 
@@ -1264,7 +961,7 @@ mod tests {
     fn entry_offsets_walk_frame_boundaries() {
         let cfg = EvalConfig::smoke();
         let path = tmp("offsets");
-        let j = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+        let j = new_journal(&path, &cfg, ShardSpec::WHOLE);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap();
         drop(j);
@@ -1274,7 +971,7 @@ mod tests {
         // Truncating at an entry offset yields a clean shorter journal.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..offsets[1] as usize]).unwrap();
-        let loaded = load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert_eq!(loaded.replay.len(), 1);
         assert_eq!(loaded.stale_frames, 0);
         remove(&path);
@@ -1302,38 +999,34 @@ mod tests {
     fn priors_hash_mismatch_replays_nothing() {
         let cfg = EvalConfig::smoke();
         let path = tmp("priors");
-        let j = Journal::create_with_priors(&path, &cfg, ShardSpec::WHOLE, 0xabcd).unwrap();
+        let stamped = JournalKey::new(&cfg, &[], ShardSpec::WHOLE, 0xabcd);
+        let j = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0xabcd).unwrap();
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         drop(j);
 
         assert_eq!(peek_priors_hash(&path), Some(0xabcd));
-        assert_eq!(
-            load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 0xabcd).replay.len(),
-            1
-        );
+        assert_eq!(load(&path, &stamped).replay.len(), 1);
         // A different priors table — or none at all — partitioned the
         // grid differently; its journal must not replay.
-        assert!(load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 0x1234).replay.is_empty());
-        assert!(load(&path, &cfg, ShardSpec::WHOLE).is_empty());
+        let other = JournalKey::new(&cfg, &[], ShardSpec::WHOLE, 0x1234);
+        assert!(load(&path, &other).replay.is_empty());
+        assert!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.is_empty());
 
         // Compaction preserves the stamp.
-        let loaded = load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 0xabcd);
-        compact_with_priors(&path, &cfg, ShardSpec::WHOLE, 0xabcd, &loaded.replay).unwrap();
+        let loaded = load(&path, &stamped);
+        compact(&path, &stamped, &loaded.replay).unwrap();
         assert_eq!(peek_priors_hash(&path), Some(0xabcd));
-        assert_eq!(
-            load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 0xabcd).replay.len(),
-            1
-        );
+        assert_eq!(load(&path, &stamped).replay.len(), 1);
         remove(&path);
         assert_eq!(peek_priors_hash(&path), None, "missing file has no hash to peek");
     }
 
     #[test]
-    fn pre_priors_headers_read_as_hash_zero() {
+    fn pre_priors_headers_replay_nothing() {
         let cfg = EvalConfig::smoke();
         let path = tmp("pre-priors");
         // Hand-write a v3 journal whose header ends at shard_count —
-        // the exact layout shipped before the priors field existed.
+        // the layout shipped before the priors field existed.
         let mut w = ByteWriter::new();
         w.put_u32(VERSION);
         w.put_u64(config_hash(&cfg));
@@ -1345,19 +1038,14 @@ mod tests {
         frame::encode_frame_into(&mut bytes, id.0, &codec::encode_entry("GPT-4", &rec(0)));
         std::fs::write(&path, &bytes).unwrap();
 
-        assert_eq!(peek_priors_hash(&path), Some(0));
-        assert_eq!(load(&path, &cfg, ShardSpec::WHOLE).len(), 1, "old journals still replay");
-        assert!(
-            load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 7).replay.is_empty(),
-            "but never into a run with priors"
-        );
-
-        // v2 journals likewise peek as hash 0 and refuse priors runs.
-        let entries = vec![(id, "GPT-4".to_string(), rec(0))];
-        write_v2_journal(&path, &cfg, ShardSpec::WHOLE, &entries).unwrap();
-        assert_eq!(peek_priors_hash(&path), Some(0));
-        assert_eq!(load(&path, &cfg, ShardSpec::WHOLE).len(), 1);
-        assert!(load_counting_with_priors(&path, &cfg, ShardSpec::WHOLE, 7).replay.is_empty());
+        // The short header is gated out like any other mismatch: no
+        // replay, no reject, no progress, no priors hash to peek.
+        assert_eq!(peek_priors_hash(&path), None);
+        let loaded = load(&path, &key(&cfg, ShardSpec::WHOLE));
+        assert!(loaded.replay.is_empty(), "a pre-priors header replays nothing");
+        assert!(loaded.rejects.is_empty());
+        assert!(load(&path, &JournalKey::new(&cfg, &[], ShardSpec::WHOLE, 7)).replay.is_empty());
+        assert!(peek_progress(&path, &key(&cfg, ShardSpec::WHOLE)).is_none());
         remove(&path);
     }
 
@@ -1366,12 +1054,12 @@ mod tests {
         let cfg = EvalConfig::smoke();
         let path = tmp("shard");
         let spec = ShardSpec::new(1, 3);
-        let j = Journal::create(&path, &cfg, spec).unwrap();
+        let j = new_journal(&path, &cfg, spec);
         j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
         drop(j);
-        assert_eq!(load(&path, &cfg, spec).len(), 1);
-        assert!(load(&path, &cfg, ShardSpec::new(0, 3)).is_empty());
-        assert!(load(&path, &cfg, ShardSpec::WHOLE).is_empty());
+        assert_eq!(load(&path, &key(&cfg, spec)).replay.len(), 1);
+        assert!(load(&path, &key(&cfg, ShardSpec::new(0, 3))).replay.is_empty());
+        assert!(load(&path, &key(&cfg, ShardSpec::WHOLE)).replay.is_empty());
         remove(&path);
     }
 }

@@ -20,8 +20,8 @@
 //!   (the paper's super-linear-speedup footnote).
 //!
 //! Figure/table regenerators live in `src/bin/` — one binary per paper
-//! artifact — all driven by [`pipeline::load_or_run`] which caches the
-//! full evaluation record as JSON.
+//! artifact — all driven by [`pipeline::load_or_run_opts`] which
+//! caches the full evaluation record as JSON.
 //!
 //! Evaluation fans the (model × task) grid over a work-stealing worker
 //! pool ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker

@@ -2,13 +2,13 @@
 //!
 //! Crash safety: while a grid runs, every completed cell is appended to
 //! a cell-addressed write-ahead journal next to the cache file
-//! (fsync'd per line, keyed by the cell's globally stable
+//! (fsync'd per frame, keyed by the cell's globally stable
 //! [`pcg_core::plan::CellId`]). The final cache and stats sidecar are
 //! committed atomically (temp file + rename), so readers never observe
 //! a torn record; the journal is deleted only after the cache commit
 //! succeeds. A run killed at any point can be restarted with `--resume`
 //! and will re-evaluate only the cells the journal does not already
-//! hold — and, if the journal accumulated stale lines (torn tails,
+//! hold — and, if the journal accumulated stale frames (torn tails,
 //! shadowed duplicate appends), resume first compacts it in place.
 //!
 //! Multi-process mode: `--shard k/N` runs one deterministic slice of
@@ -18,7 +18,7 @@
 
 use crate::config::EvalConfig;
 use crate::eval::evaluate_resumable_priors;
-use crate::journal::{self, Journal};
+use crate::journal::{self, Journal, JournalKey};
 use crate::record::{EvalRecord, EvalStats};
 use crate::runner::SharedRunner;
 use crate::scheduler;
@@ -377,17 +377,6 @@ fn flag_value(flag: &str) -> Option<String> {
     None
 }
 
-/// [`load_or_run_jobs`] at the default worker count (`PCG_JOBS` env var
-/// if set, else the machine's available parallelism).
-pub fn load_or_run(path: Option<&Path>, cfg: &EvalConfig) -> EvalRecord {
-    load_or_run_jobs(path, cfg, scheduler::default_jobs())
-}
-
-/// [`load_or_run_opts`] with journaling on and resume off.
-pub fn load_or_run_jobs(path: Option<&Path>, cfg: &EvalConfig, jobs: usize) -> EvalRecord {
-    load_or_run_opts(path, cfg, &RunOptions::new(jobs))
-}
-
 /// Load a cached evaluation record if it matches `cfg`, else run the
 /// full evaluation (all 7 models, all 420 tasks) and cache it. The
 /// cache is jobs-agnostic: records are byte-identical at any worker
@@ -439,7 +428,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     } else {
         ResumedJournal::none()
     };
-    let replay = resumed.replay;
+    let replay = &resumed.replay;
     if !replay.is_empty() {
         eprintln!(
             "[pcgbench] resuming: {} cell{} replayed from {}",
@@ -449,12 +438,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         );
     }
     let wal = if opts.journal {
-        let opened = if replay.is_empty() || resumed.recreate {
-            Journal::create_sourced(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash)
-        } else {
-            Journal::open_append(&jpath)
-        };
-        match opened {
+        match resumed.open(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash) {
             Ok(j) => Some(j),
             Err(e) => {
                 eprintln!("[pcgbench] warning: could not open journal: {e}");
@@ -473,7 +457,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         opts.jobs,
         priors.as_ref(),
         &runner,
-        &replay,
+        replay,
         |cell, model, rec| {
             if let Some(j) = &wal {
                 if let Err(e) = j.append(cell, model, rec) {
@@ -546,10 +530,10 @@ pub(crate) struct ResumedJournal {
     /// Corrupt frames refused during replay (the
     /// `journal_frames_rejected` stat).
     pub rejected: u64,
-    /// When true the on-disk file could not be brought to clean v3
-    /// (compaction/migration failed) and MUST be recreated rather than
-    /// appended to — appending frames to a stale or v2 file would
-    /// corrupt it. The replay above is still valid in memory.
+    /// When true the on-disk file could not be compacted and MUST be
+    /// recreated rather than appended to — appending frames to a
+    /// stale file would corrupt it. The replay above is still valid in
+    /// memory.
     pub recreate: bool,
 }
 
@@ -557,12 +541,31 @@ impl ResumedJournal {
     pub(crate) fn none() -> ResumedJournal {
         ResumedJournal { replay: journal::Replay::new(), compacted: 0, rejected: 0, recreate: false }
     }
+
+    /// Open the journal the run appends to: continue the resumed file
+    /// when it replayed cells and is clean, else start a fresh one
+    /// over whatever is there (nothing, a journal for another key, a
+    /// file that is not a v3 journal, or one compaction could not
+    /// rewrite).
+    pub(crate) fn open(
+        &self,
+        path: &Path,
+        cfg: &EvalConfig,
+        salt: &[u8],
+        shard: ShardSpec,
+        priors_hash: u64,
+    ) -> std::io::Result<Journal> {
+        if self.replay.is_empty() || self.recreate {
+            Journal::create_sourced(path, cfg, salt, shard, priors_hash)
+        } else {
+            Journal::open_append(path)
+        }
+    }
 }
 
 /// Load a journal for resume: report every rejected frame with its
 /// byte offset / frame index / cell id, then compact when the file
-/// carries stale frames **or** is a legacy v2 JSONL journal (the
-/// migration commit — replay v2, rewrite v3).
+/// carries stale frames.
 pub(crate) fn resume_journal(
     path: &Path,
     cfg: &EvalConfig,
@@ -570,7 +573,8 @@ pub(crate) fn resume_journal(
     shard: ShardSpec,
     priors_hash: u64,
 ) -> ResumedJournal {
-    let loaded = journal::load_counting_sourced(path, cfg, salt, shard, priors_hash);
+    let key = JournalKey::new(cfg, salt, shard, priors_hash);
+    let loaded = journal::load(path, &key);
     for r in &loaded.rejects {
         eprintln!("[pcgbench] warning: journal {}: rejected {r}", path.display());
     }
@@ -578,21 +582,13 @@ pub(crate) fn resume_journal(
     if !loaded.needs_compaction() {
         return ResumedJournal { replay: loaded.replay, compacted: 0, rejected, recreate: false };
     }
-    match journal::compact_sourced(path, cfg, salt, shard, priors_hash, &loaded.replay) {
+    match journal::compact(path, &key, &loaded.replay) {
         Ok(_) => {
-            if loaded.format == Some(journal::JournalFormat::V2Jsonl) {
-                eprintln!(
-                    "[pcgbench] migrated v2 JSONL journal to v3 binary frames: {}",
-                    path.display(),
-                );
-            }
-            if loaded.stale_frames > 0 {
-                eprintln!(
-                    "[pcgbench] compacted journal: {} stale frame{} folded away",
-                    loaded.stale_frames,
-                    if loaded.stale_frames == 1 { "" } else { "s" },
-                );
-            }
+            eprintln!(
+                "[pcgbench] compacted journal: {} stale frame{} folded away",
+                loaded.stale_frames,
+                if loaded.stale_frames == 1 { "" } else { "s" },
+            );
             ResumedJournal {
                 replay: loaded.replay,
                 compacted: loaded.stale_frames as u64,

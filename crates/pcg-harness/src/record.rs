@@ -217,8 +217,7 @@ pub struct CellWall {
 /// This is the **single definition** of that projection: the
 /// warm-path, mux, and shard projection-equality tests all call it,
 /// and CI diffs it across processes via the `project_records` binary —
-/// so the copies that used to live in each test and in
-/// `ci/project_records.py` can no longer drift.
+/// so there is no second copy to drift.
 pub fn projection(rec: &EvalRecord) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();

@@ -115,35 +115,21 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_grid_observed(items, jobs, f, |_, _| {})
+    run_grid_prioritized(items, jobs, None, f, |_, _| {})
 }
 
-/// [`run_grid`] with a completion observer: `observe(slot, &cell)` runs
-/// on the *calling* thread as each cell completes, in completion order
-/// (not slot order). This is the hook the write-ahead journal appends
-/// from — the observer is the single serialization point of the grid,
-/// so journal lines need no locking discipline beyond the file itself.
-pub fn run_grid_observed<T, R, F, O>(
-    items: Vec<T>,
-    jobs: usize,
-    f: F,
-    observe: O,
-) -> Vec<Cell<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    O: FnMut(usize, &Cell<R>),
-{
-    run_grid_prioritized(items, jobs, None, f, observe)
-}
-
-/// [`run_grid_observed`] with an explicit dispatch order: when `order`
-/// is given, workers *pick up* cells in that sequence (longest
-/// processing time first, when the caller sorts by cost priors) while
-/// results still come back in slot order and each cell's computation is
-/// untouched. Dispatch order is pure scheduling — it changes wall-clock
-/// tail latency, never bytes.
+/// [`run_grid`] with a completion observer and an explicit dispatch
+/// order. `observe(slot, &cell)` runs on the *calling* thread as each
+/// cell completes, in completion order (not slot order). This is the
+/// hook the write-ahead journal appends from — the observer is the
+/// single serialization point of the grid, so journal frames need no
+/// locking discipline beyond the file itself.
+///
+/// When `order` is given, workers *pick up* cells in that sequence
+/// (longest processing time first, when the caller sorts by cost
+/// priors) while results still come back in slot order and each cell's
+/// computation is untouched. Dispatch order is pure scheduling — it
+/// changes wall-clock tail latency, never bytes.
 ///
 /// With an explicit order the workers share one front-pop queue (the
 /// classic LPT list-scheduling discipline: next free worker takes the
@@ -227,18 +213,9 @@ where
                 let tx = tx.clone();
                 let deques = &deques;
                 let run_cell = &run_cell;
-                scope.spawn(move || loop {
-                    // Own queue first (front), then steal (back).
-                    let own = w % queues;
-                    let slot = deques[own].lock().pop_front().or_else(|| {
-                        (1..queues)
-                            .find_map(|d| deques[(own + d) % queues].lock().pop_back())
-                    });
-                    match slot {
-                        Some(slot) => {
-                            let _ = tx.send((slot, run_cell(slot)));
-                        }
-                        None => break,
+                scope.spawn(move || {
+                    while let Some(slot) = next_slot(deques, w % queues) {
+                        let _ = tx.send((slot, run_cell(slot)));
                     }
                 });
             }
@@ -254,6 +231,18 @@ where
         .enumerate()
         .map(|(i, c)| c.unwrap_or_else(|| panic!("grid slot {i} never completed")))
         .collect()
+}
+
+/// The next slot for the worker whose own queue is `deques[own]`: its
+/// own queue first (front), then a steal from the others (back). The
+/// own queue's guard is dropped before stealing — two draining workers
+/// that each held their own lock while locking the other's would wait
+/// on each other forever.
+fn next_slot(deques: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
+    let next = deques[own].lock().pop_front();
+    next.or_else(|| {
+        (1..deques.len()).find_map(|d| deques[(own + d) % deques.len()].lock().pop_back())
+    })
 }
 
 /// [`run_grid`], unwrapping cell panics by re-raising the first one
@@ -371,6 +360,34 @@ mod tests {
         });
         assert_eq!(slow.load(Ordering::Relaxed), 16);
         assert_eq!(cells.len(), 64);
+    }
+
+    #[test]
+    fn stealing_releases_the_own_queue_first() {
+        // Worker 0's queue is empty and worker 1's is locked elsewhere
+        // (as by worker 1 itself, about to steal from worker 0), so
+        // worker 0 blocks in the steal. Its own queue must be free by
+        // then, or the two workers deadlock.
+        let deques: Vec<Mutex<VecDeque<usize>>> =
+            vec![Mutex::new(VecDeque::new()), Mutex::new(VecDeque::from([7]))];
+        let sibling = deques[1].lock();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| next_slot(&deques, 0));
+            std::thread::sleep(Duration::from_millis(50));
+            let deadline = Instant::now() + Duration::from_secs(1);
+            let own_free = loop {
+                if deques[0].try_lock().is_some() {
+                    break true;
+                }
+                if Instant::now() > deadline {
+                    break false;
+                }
+                std::thread::yield_now();
+            };
+            drop(sibling);
+            assert_eq!(worker.join().unwrap(), Some(7));
+            assert!(own_free, "a stealing worker still held its own queue's lock");
+        });
     }
 
     #[test]

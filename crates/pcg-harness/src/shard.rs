@@ -11,7 +11,7 @@
 //! run keeps for crash safety, just scoped to the shard. That means
 //! every durability property composes for free: a killed worker
 //! resumes with `--resume`, stale journal generations are compacted,
-//! and torn lines truncate replay instead of corrupting it.
+//! and torn frames truncate replay instead of corrupting it.
 //!
 //! [`merge_shards`] stitches N shard journals back into the records
 //! cache and stats sidecar. The merged records file is **byte-identical
@@ -20,7 +20,7 @@
 //! coordinates only, and assembly order is the plan order both code
 //! paths share. Cells missing from the shard journals (a worker died
 //! mid-shard and was never resumed, or a journal lost its tail to a
-//! torn line) are evaluated locally by the merge process itself, so a
+//! torn frame) are evaluated locally by the merge process itself, so a
 //! merge always produces the complete, correct record. Stats sidecars
 //! are *combined* (counters summed, wall clock maxed); their
 //! deterministic projection (`record::stats_projection`) matches a
@@ -51,7 +51,7 @@
 
 use crate::config::EvalConfig;
 use crate::eval;
-use crate::journal::{self, Journal};
+use crate::journal::{self, Journal, JournalKey};
 use crate::pipeline::{self, RunOptions};
 use crate::record::{EvalRecord, EvalStats, TaskRecord};
 use crate::runner::SharedRunner;
@@ -103,7 +103,8 @@ pub fn scan_siblings(
         }
         let spec = ShardSpec::new(k, shard.count);
         let jpath = journal::shard_journal_path(cache, spec);
-        if let Some(p) = journal::peek_progress_sourced(&jpath, cfg, salt, spec, priors_hash) {
+        let key = JournalKey::new(cfg, salt, spec, priors_hash);
+        if let Some(p) = journal::peek_progress(&jpath, &key) {
             all.done.extend(p.done);
             all.claimed.extend(p.claimed);
         }
@@ -258,14 +259,7 @@ pub fn run_shard(
     } else {
         pipeline::ResumedJournal::none()
     };
-    let replay = resumed.replay;
-
-    let wal = if replay.is_empty() || resumed.recreate {
-        Journal::create_sourced(&jpath, cfg, &salt, shard, priors_hash)
-    } else {
-        Journal::open_append(&jpath)
-    };
-    let wal = match wal {
+    let wal = match resumed.open(&jpath, cfg, &salt, shard, priors_hash) {
         Ok(j) => j,
         Err(e) => {
             // Unlike the single-process pipeline (where the journal is
@@ -276,6 +270,7 @@ pub fn run_shard(
             std::process::exit(1);
         }
     };
+    let replay = resumed.replay;
 
     // Test/bench fault injection: stall this worker before it touches
     // any cell, so siblings get a head start and (with stealing on)
@@ -433,7 +428,7 @@ pub fn merge_shards(
                 continue;
             }
         }
-        let loaded = journal::load_counting_sourced(&jpath, cfg, &salt, spec, priors_hash);
+        let loaded = journal::load(&jpath, &JournalKey::new(cfg, &salt, spec, priors_hash));
         for r in &loaded.rejects {
             eprintln!("[pcgbench] warning: journal {}: rejected {r}", jpath.display());
         }

@@ -1,4 +1,4 @@
-//! Journal v3 corruption battery + v2→v3 migration guarantees.
+//! Journal v3 corruption battery + replay byte-identity guarantees.
 //!
 //! Two layers of defence for the binary journal:
 //!
@@ -13,8 +13,8 @@
 //!   wrong shard geometry, wrong config) with exact assertions on
 //!   replay contents, stale accounting, and reject diagnostics.
 //!
-//! Plus the migration contract: a v2 JSONL journal loads, compacts to
-//! v3, and reproduces a cache **byte-identical** to the pure-JSONL
+//! Plus the replay contract: a journal holding a full run's cells
+//! reproduces a cache **byte-identical** to the uninterrupted
 //! reference run at `--jobs 1` and `--jobs 8`.
 
 use pcg_core::frame::JOURNAL_MAGIC;
@@ -22,7 +22,7 @@ use pcg_core::plan::{CellId, ShardSpec};
 use pcg_core::{warm, ExecutionModel, ProblemId, ProblemType, TaskId};
 use pcg_harness::codec;
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
-use pcg_harness::journal::{self, Journal, JournalFormat};
+use pcg_harness::journal::{self, Journal, JournalKey};
 use pcg_harness::record::TaskRecord;
 use pcg_harness::{EvalConfig, SharedRunner};
 use pcg_metrics::TaskSamples;
@@ -63,10 +63,16 @@ fn fixture_record(variant: usize) -> TaskRecord {
     }
 }
 
+/// The journal key of an unsalted, no-priors run of `cfg`'s shard
+/// `shard`.
+fn key(cfg: &EvalConfig, shard: ShardSpec) -> JournalKey {
+    JournalKey::new(cfg, &[], shard, 0)
+}
+
 /// Write a 3-entry v3 journal and return `(path, entries)` where the
 /// entries are keyed exactly as the journal keys them.
 fn fixture_journal(cfg: &EvalConfig, tag: &str) -> (PathBuf, Vec<(CellId, String, TaskRecord)>) {
-    let chash = journal::config_hash(cfg);
+    let chash = key(cfg, ShardSpec::WHOLE).config_hash;
     let entries: Vec<(CellId, String, TaskRecord)> = (0..3)
         .map(|v| {
             let model = format!("model-{v}");
@@ -75,7 +81,7 @@ fn fixture_journal(cfg: &EvalConfig, tag: &str) -> (PathBuf, Vec<(CellId, String
         })
         .collect();
     let path = tmp_path(tag);
-    let wal = Journal::create(&path, cfg, ShardSpec::WHOLE).unwrap();
+    let wal = Journal::create_sourced(&path, cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     for (cell, model, rec) in &entries {
         wal.append(*cell, model, rec).unwrap();
     }
@@ -156,7 +162,7 @@ proptest! {
         let bit = flip % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
         assert_no_silent_corruption(&loaded, &entries, &format!("bit {bit}"));
         prop_assert!(
             loaded.replay.len() == entries.len()
@@ -177,11 +183,10 @@ fn corruption_battery() {
     let (path, entries) = fixture_journal(&cfg, "battery");
     let pristine = std::fs::read(&path).unwrap();
     assert!(pristine.starts_with(&JOURNAL_MAGIC));
-    let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let loaded = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(loaded.replay.len(), 3);
     assert_eq!(loaded.stale_frames, 0);
     assert!(loaded.rejects.is_empty());
-    assert_eq!(loaded.format, Some(JournalFormat::V3));
     assert!(!loaded.needs_compaction());
     let offsets = journal::entry_offsets(&path);
     assert_eq!(offsets.len(), 4, "3 entry frames + end sentinel");
@@ -194,7 +199,7 @@ fn corruption_battery() {
         let mut corrupt = pristine.clone();
         corrupt[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &corrupt).unwrap();
-        let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
         let what = format!("flip at bit {bit}");
         assert_no_silent_corruption(&loaded, &entries, &what);
         assert!(
@@ -209,7 +214,7 @@ fn corruption_battery() {
     // frame's header. Replay keeps the frames before the cut and
     // reports a torn tail at the right offset.
     std::fs::write(&path, &pristine[..offsets[1] as usize + 2]).unwrap();
-    let torn = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let torn = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(torn.replay.len(), 1);
     assert_no_silent_corruption(&torn, &entries, "truncated length prefix");
     assert_eq!(torn.rejects.len(), 1);
@@ -221,7 +226,7 @@ fn corruption_battery() {
     // uses, but cutting inside the payload (past the 16-byte frame
     // header) so the length field itself is intact.
     std::fs::write(&path, &pristine[..offsets[2] as usize + 20]).unwrap();
-    let torn = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let torn = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(torn.replay.len(), 2);
     assert_no_silent_corruption(&torn, &entries, "torn payload");
     assert_eq!(torn.rejects.len(), 1);
@@ -240,7 +245,7 @@ fn corruption_battery() {
     shadow.low.ratio[0] = 9.75;
     wal.append(*cell0, model0, &shadow).unwrap();
     drop(wal);
-    let dup = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let dup = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(dup.replay.len(), 3);
     assert_eq!(dup.stale_frames, 1);
     assert!(dup.rejects.is_empty());
@@ -255,9 +260,9 @@ fn corruption_battery() {
     // journal replays identically (with the shadow record, which is
     // the replayable generation).
     let folded = dup.replay.clone();
-    journal::compact(&path, &cfg, ShardSpec::WHOLE, &folded).unwrap();
+    journal::compact(&path, &key(&cfg, ShardSpec::WHOLE), &folded).unwrap();
     assert!(std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC));
-    let compacted = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let compacted = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(compacted.replay.len(), 3);
     assert_eq!(compacted.stale_frames, 0);
     assert!(!compacted.needs_compaction());
@@ -276,7 +281,7 @@ fn corruption_battery() {
         &codec::encode_entry(model2, rec2),
     ));
     std::fs::write(&path, &forged).unwrap();
-    let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let loaded = journal::load(&path, &key(&cfg, ShardSpec::WHOLE));
     assert_eq!(loaded.replay.len(), 2);
     assert_no_silent_corruption(&loaded, &entries, "forged cell tag");
     assert_eq!(loaded.rejects.len(), 1);
@@ -285,80 +290,81 @@ fn corruption_battery() {
     // ------- Wrong shard geometry / wrong config: a journal is only
     // replayable into the exact grid that wrote it.
     std::fs::write(&path, &pristine).unwrap();
-    assert!(journal::load(&path, &cfg, ShardSpec::new(1, 3)).is_empty());
+    assert!(journal::load(&path, &key(&cfg, ShardSpec::new(1, 3))).replay.is_empty());
     let mut other_cfg = cfg.clone();
     other_cfg.seed ^= 1;
-    assert!(journal::load(&path, &other_cfg, ShardSpec::WHOLE).is_empty());
+    assert!(journal::load(&path, &key(&other_cfg, ShardSpec::WHOLE)).replay.is_empty());
 
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The migration contract, end to end: a v2 JSONL journal holding a
-/// full run's cells loads through the fallback reader, demands
-/// compaction, compacts to v3, and the migrated journal reproduces a
-/// cache byte-identical to the pure-JSONL reference at `--jobs 1` and
-/// `--jobs 8`. One `#[test]`: the phases share a [`SharedRunner`] so
-/// records are byte-comparable, and the warm flag is process-global.
+/// The replay contract, end to end: a journal holding a full run's
+/// cells — appended in completion order through [`Journal::append`] —
+/// reproduces a cache byte-identical to the uninterrupted reference
+/// at `--jobs 1` and `--jobs 8`. One `#[test]`: the phases share a
+/// [`SharedRunner`] so records are byte-comparable, and the warm flag
+/// is process-global.
 #[test]
-fn v2_migration_is_byte_identical_at_any_job_count() {
+fn journaled_replay_is_byte_identical_at_any_job_count() {
     let cfg = EvalConfig::smoke();
     let tasks: Vec<TaskId> = smoke_tasks().into_iter().take(4).collect();
     let models = pcg_models::zoo();
     warm::set_enabled(true);
 
-    // Pure-JSONL-era reference: what a v2 run recorded, jobs-agnostic.
+    // The uninterrupted reference, jobs-agnostic.
     let runner = SharedRunner::new(cfg.clone());
     let (ref1, _) = evaluate_with(&cfg, &models, Some(&tasks), 1, &runner);
     let (ref8, _) = evaluate_with(&cfg, &models, Some(&tasks), 8, &runner);
     let ref_json = serde_json::to_vec(&ref1).unwrap();
     assert_eq!(ref_json, serde_json::to_vec(&ref8).unwrap(), "reference must be jobs-agnostic");
 
-    let chash = journal::config_hash(&cfg);
-    let entries: Vec<(CellId, String, TaskRecord)> = ref1
-        .models
-        .iter()
-        .flat_map(|m| {
-            m.tasks
-                .iter()
-                .map(move |t| (CellId::new(chash, &m.model, t.task), m.model.clone(), t.clone()))
-        })
-        .collect();
-
-    // A v2 journal as a crashed v2-era run would have left it.
-    let jpath = tmp_path("migrate");
-    journal::write_v2_journal(&jpath, &cfg, ShardSpec::WHOLE, &entries).unwrap();
-    assert!(!std::fs::read(&jpath).unwrap().starts_with(&JOURNAL_MAGIC));
-    let loaded = journal::load_counting(&jpath, &cfg, ShardSpec::WHOLE);
-    assert_eq!(loaded.format, Some(JournalFormat::V2Jsonl));
-    assert_eq!(loaded.replay.len(), entries.len());
-    assert!(loaded.stale_frames == 0 && loaded.rejects.is_empty());
-    assert!(loaded.needs_compaction(), "a clean v2 journal must still demand migration");
-
-    // Migrate (replay v2 → commit v3) and reload through the binary path.
-    journal::compact(&jpath, &cfg, ShardSpec::WHOLE, &loaded.replay).unwrap();
+    // A journaled run at --jobs 8: frames land in completion order.
+    let jpath = tmp_path("replay");
+    let wal = Journal::create_sourced(&jpath, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
+    let (journaled, _) = eval::evaluate_resumable_priors(
+        &cfg,
+        &models,
+        Some(&tasks),
+        8,
+        None,
+        &runner,
+        &journal::Replay::new(),
+        |cell, model, rec| wal.append(cell, model, rec).unwrap(),
+    );
+    drop(wal);
+    assert_eq!(serde_json::to_vec(&journaled).unwrap(), ref_json);
     assert!(std::fs::read(&jpath).unwrap().starts_with(&JOURNAL_MAGIC));
-    let migrated = journal::load_counting(&jpath, &cfg, ShardSpec::WHOLE);
-    assert_eq!(migrated.format, Some(JournalFormat::V3));
-    assert!(!migrated.needs_compaction());
-    assert_eq!(migrated.replay.len(), entries.len());
+    let cells = models.len() * tasks.len();
+    let loaded = journal::load(&jpath, &key(&cfg, ShardSpec::WHOLE));
+    assert_eq!(loaded.replay.len(), cells);
+    assert!(loaded.stale_frames == 0 && loaded.rejects.is_empty());
+    assert!(!loaded.needs_compaction());
 
-    // Assembling straight from the migrated replay reproduces the
-    // committed cache bytes with no evaluation at all...
+    // Assembling straight from the replay reproduces the committed
+    // cache bytes with no evaluation at all...
     let plan = eval::plan_for(&cfg, &models, Some(&tasks));
-    let assembled = eval::assemble(&cfg, &plan, |c| migrated.replay[&c.id].record.clone());
+    let assembled = eval::assemble(&cfg, &plan, |c| loaded.replay[&c.id].record.clone());
     assert_eq!(serde_json::to_vec(&assembled).unwrap(), ref_json);
 
-    // ...and driving the real evaluator over the migrated replay — at
-    // --jobs 1 and --jobs 8 — replays every cell and commits the
-    // identical bytes the pure-JSONL run did.
+    // ...and driving the real evaluator over the replay — at --jobs 1
+    // and --jobs 8 — replays every cell and commits the identical
+    // bytes the uninterrupted run did.
     for jobs in [1usize, 8] {
-        let (rec, stats) =
-            eval::evaluate_resumable(&cfg, &models, Some(&tasks), jobs, &runner, &migrated.replay, |_, _, _| {});
-        assert_eq!(stats.resumed_cells, entries.len(), "jobs={jobs}: every cell must replay");
+        let (rec, stats) = eval::evaluate_resumable_priors(
+            &cfg,
+            &models,
+            Some(&tasks),
+            jobs,
+            None,
+            &runner,
+            &loaded.replay,
+            |_, _, _| {},
+        );
+        assert_eq!(stats.resumed_cells, cells, "jobs={jobs}: every cell must replay");
         assert_eq!(
             serde_json::to_vec(&rec).unwrap(),
             ref_json,
-            "jobs={jobs}: migrated replay must commit identical bytes"
+            "jobs={jobs}: replay must commit identical bytes"
         );
     }
 

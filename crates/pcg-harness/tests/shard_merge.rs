@@ -47,10 +47,17 @@ fn write_shard_journals(
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
         let jpath = journal::shard_journal_path(cache, spec);
-        let wal = Journal::create(&jpath, cfg, spec).unwrap();
-        let run = eval::evaluate_plan(cfg, models, &plan, spec, 2, runner, &Replay::new(), |cell, model, rec| {
-            wal.append(cell, model, rec).unwrap();
-        });
+        let wal = Journal::create_sourced(&jpath, cfg, &[], spec, 0).unwrap();
+        let run = eval::evaluate_cells_priors(
+            cfg,
+            models,
+            plan.shard(spec),
+            2,
+            None,
+            runner,
+            &Replay::new(),
+            |cell, model, rec| wal.append(cell, model, rec).unwrap(),
+        );
         assert!(run.stats.cells > 0, "shard {spec} must own some cells");
         assert!(
             std::fs::read(&jpath).unwrap().starts_with(&pcg_core::frame::JOURNAL_MAGIC),
