@@ -92,7 +92,7 @@ impl PromptVariant {
 
 /// Compose a model-row label from a model name and variant: bare name
 /// for the default variant, `name@variant` otherwise. Row labels key
-/// cell ids, priors lookups, records, and figure bins, so the default
+/// cell ids, priors lookups, records, and figure renderers, so the default
 /// variant **must** stay bare for byte-compatibility with prior runs.
 pub fn row_label(model: &str, variant: PromptVariant) -> String {
     if variant == PromptVariant::DEFAULT {

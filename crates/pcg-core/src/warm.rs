@@ -3,10 +3,10 @@
 //! The warm execution engine (substrate leasing, input memoization,
 //! supervisor reuse) is on by default: it is a pure throughput
 //! optimisation whose records are required to match the cold path
-//! byte-for-byte. The switch exists for A/B comparison — the
-//! `grid_sweep` bench and the warm-path determinism test drive both
-//! sides — and as an escape hatch (`PCG_COLD=1`) if a platform ever
-//! misbehaves under thread reuse.
+//! byte-for-byte. The switch is kept only as the reference side of
+//! those checks: `grid_sweep`'s cold-vs-warm A/B and
+//! `tests/warm_path.rs` turn it off to produce the cold records the
+//! warm ones must equal. Nothing reads it from the environment.
 //!
 //! The flag is read at every lease checkout / supervisor dispatch, so
 //! toggling mid-process takes effect on the next candidate execution.
@@ -14,25 +14,19 @@
 //! suites keep all toggling inside a single `#[test]`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
-static WARM: OnceLock<AtomicBool> = OnceLock::new();
-
-fn flag() -> &'static AtomicBool {
-    WARM.get_or_init(|| AtomicBool::new(std::env::var_os("PCG_COLD").is_none()))
-}
+static WARM: AtomicBool = AtomicBool::new(true);
 
 /// Whether the warm path (leasing, memoization, supervisor reuse) is
-/// active. Defaults to `true`; set `PCG_COLD=1` in the environment to
-/// start cold.
+/// active. Defaults to `true`.
 #[inline]
 pub fn enabled() -> bool {
-    flag().load(Ordering::Relaxed)
+    WARM.load(Ordering::Relaxed)
 }
 
 /// Flip the warm path on or off for subsequent executions.
 pub fn set_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed);
+    WARM.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //! never by worker identity — so the resulting records are
 //! byte-identical at any `--jobs` count *and* across any shard
 //! topology. One [`SharedRunner`] backs each invocation: executions
-//! are deduplicated across concurrent cells, and per-stage times are
-//! collected into an [`EvalStats`].
+//! are deduplicated across concurrent cells, and the runner's snapshot
+//! ([`SharedRunner::stats`]) plus the grid's own timings form the
+//! invocation's [`EvalStats`].
 //!
 //! Candidate provenance is abstract: every entry point takes any
 //! [`CandidateSource`] — a `&[SyntheticModel]` slice (the legacy zoo,
@@ -29,7 +30,7 @@ use crate::runner::SharedRunner;
 use crate::scheduler;
 use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
 use pcg_core::task::all_tasks;
-use pcg_core::{CandidateKind, CostPriors, ExecutionModel, Stage, TaskId};
+use pcg_core::{CandidateKind, CostPriors, ExecutionModel, TaskId};
 use pcg_metrics::TaskSamples;
 use pcg_models::{CandidateSource, SampleSpec};
 use std::collections::BTreeMap;
@@ -270,40 +271,12 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     let stats = EvalStats {
         jobs: jobs.max(1),
         cells: n_cells,
-        executions: runner.executions(),
-        cache_hits: runner.cache_hits(),
-        panics: runner.panics(),
-        timeouts: runner.timeouts(),
-        cancelled: runner.cancelled(),
-        abandoned: runner.abandoned(),
-        retries: runner.retries(),
-        flaky: runner.flaky(),
         resumed_cells,
-        quarantined: runner.quarantined(),
         queue_wait_s,
         max_queue_wait_s,
-        baseline_s: runner.stage_seconds(Stage::Baseline),
-        run_s: runner.stage_seconds(Stage::Run),
-        validate_s: runner.stage_seconds(Stage::Validate),
         wall_s,
-        lease_hits: runner.lease_hits(),
-        lease_misses: runner.lease_misses(),
-        pools_poisoned: runner.pools_poisoned(),
-        input_cache_hits: runner.input_cache_hits(),
-        pool_setup_s: runner.pool_setup_s(),
-        ranks_multiplexed: runner.ranks_multiplexed(),
-        bytes_zero_copied: runner.bytes_zero_copied(),
-        journal_compactions: 0,
-        journal_frames_rejected: 0,
-        deadlocks_detected: runner.deadlocks_detected(),
-        stack_overflows_caught: runner.stack_overflows_caught(),
-        guard_faults: runner.guard_faults(),
-        leak_budget_exhausted: runner.leak_budget_exhausted(),
-        cells_stolen: 0,
-        steal_conflicts: 0,
-        steal_scans: 0,
         cell_walls,
-        shard_walls: Vec::new(),
+        ..runner.stats()
     };
     SubsetRun { cells, stats }
 }

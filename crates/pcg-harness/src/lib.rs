@@ -19,9 +19,9 @@
 //!   (`T*/T`), with Search problems excluded from performance metrics
 //!   (the paper's super-linear-speedup footnote).
 //!
-//! Figure/table regenerators live in `src/bin/` — one binary per paper
-//! artifact — all driven by [`pipeline::load_or_run_opts`] which
-//! caches the full evaluation record as JSON.
+//! The `reproduce` binary regenerates every paper table and figure (or
+//! one, `reproduce figure2`) through [`pipeline::load_or_run_opts`],
+//! which caches the full evaluation record as JSON.
 //!
 //! Evaluation fans the (model × task) grid over a work-stealing worker
 //! pool ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker

@@ -1,4 +1,4 @@
-//! Disk-cached end-to-end evaluation used by the figure binaries.
+//! Disk-cached end-to-end evaluation used by the `reproduce` binary.
 //!
 //! Crash safety: while a grid runs, every completed cell is appended to
 //! a cell-addressed write-ahead journal next to the cache file
@@ -45,7 +45,7 @@ pub fn stats_path(cfg: &EvalConfig) -> PathBuf {
     PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.stats.json"))
 }
 
-/// How a pipeline run is driven, as parsed from a figure binary's
+/// How a pipeline run is driven, as parsed from a harness binary's
 /// command line.
 #[derive(Debug, Clone)]
 pub struct RunOptions {

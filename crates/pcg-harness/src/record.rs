@@ -5,6 +5,7 @@ use crate::runner::QuarantineEntry;
 use pcg_core::TaskId;
 use pcg_metrics::TaskSamples;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Everything recorded for one (model, task) pair.
@@ -63,7 +64,13 @@ impl EvalRecord {
 /// the record is required to be byte-identical for a given config
 /// regardless of `--jobs`. The pipeline writes stats to a sidecar file
 /// instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// One producer, one merge rule: [`crate::SharedRunner::stats`] fills
+/// every field the runner owns, the evaluator adds the grid-shape and
+/// timing fields around it, and [`EvalStats::merge`] is the only place
+/// that says how two values combine. Adding a counter means a field
+/// here, its line in `merge`, and its source.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EvalStats {
     /// Worker count the grid ran with.
     pub jobs: usize,
@@ -106,7 +113,7 @@ pub struct EvalStats {
     /// End-to-end wall-clock seconds for the grid.
     pub wall_s: f64,
     /// Substrate-lease checkouts served by a warm substrate (zero when
-    /// the warm path is disabled via `PCG_COLD`).
+    /// the warm path is switched off with `pcg_core::warm::set_enabled`).
     pub lease_hits: u64,
     /// Substrate-lease checkouts that built a fresh substrate.
     pub lease_misses: u64,
@@ -192,6 +199,68 @@ pub struct EvalStats {
     pub shard_walls: Vec<f64>,
 }
 
+impl EvalStats {
+    /// Fold `other` into `self`. This is the one statement of each
+    /// field's merge rule:
+    /// - counters, cell counts, worker counts and summed stage seconds
+    ///   add;
+    /// - `wall_s` and `max_queue_wait_s` take the max (processes and
+    ///   cells ran concurrently);
+    /// - `leak_budget_exhausted` ors (any exhausted part taints the
+    ///   whole);
+    /// - `quarantined` unions by (task, kind, n) and `cell_walls` by
+    ///   cell, both kept sorted; on a duplicate key `self`'s entry wins
+    ///   (two shards can quarantine the same shared candidate, and a
+    ///   cell is measured once);
+    /// - `shard_walls` concatenate.
+    pub fn merge(&mut self, other: &EvalStats) {
+        self.jobs += other.jobs;
+        self.cells += other.cells;
+        self.executions += other.executions;
+        self.cache_hits += other.cache_hits;
+        self.panics += other.panics;
+        self.timeouts += other.timeouts;
+        self.cancelled += other.cancelled;
+        self.abandoned += other.abandoned;
+        self.retries += other.retries;
+        self.flaky += other.flaky;
+        self.resumed_cells += other.resumed_cells;
+        union_sorted(&mut self.quarantined, &other.quarantined, QuarantineEntry::cmp_key);
+        self.queue_wait_s += other.queue_wait_s;
+        self.max_queue_wait_s = self.max_queue_wait_s.max(other.max_queue_wait_s);
+        self.baseline_s += other.baseline_s;
+        self.run_s += other.run_s;
+        self.validate_s += other.validate_s;
+        self.wall_s = self.wall_s.max(other.wall_s);
+        self.lease_hits += other.lease_hits;
+        self.lease_misses += other.lease_misses;
+        self.pools_poisoned += other.pools_poisoned;
+        self.input_cache_hits += other.input_cache_hits;
+        self.pool_setup_s += other.pool_setup_s;
+        self.ranks_multiplexed += other.ranks_multiplexed;
+        self.bytes_zero_copied += other.bytes_zero_copied;
+        self.journal_compactions += other.journal_compactions;
+        self.journal_frames_rejected += other.journal_frames_rejected;
+        self.deadlocks_detected += other.deadlocks_detected;
+        self.stack_overflows_caught += other.stack_overflows_caught;
+        self.guard_faults += other.guard_faults;
+        self.leak_budget_exhausted |= other.leak_budget_exhausted;
+        self.cells_stolen += other.cells_stolen;
+        self.steal_conflicts += other.steal_conflicts;
+        self.steal_scans += other.steal_scans;
+        union_sorted(&mut self.cell_walls, &other.cell_walls, |a, b| a.cell.cmp(&b.cell));
+        self.shard_walls.extend_from_slice(&other.shard_walls);
+    }
+}
+
+/// Append `from` to `into`, stable-sort by `cmp` and drop later entries
+/// that compare equal to an earlier one.
+fn union_sorted<T: Clone>(into: &mut Vec<T>, from: &[T], cmp: impl Fn(&T, &T) -> Ordering) {
+    into.extend_from_slice(from);
+    into.sort_by(&cmp);
+    into.dedup_by(|later, earlier| cmp(earlier, later) == Ordering::Equal);
+}
+
 /// One cell's measured wall seconds, keyed by its [`pcg_core::CellId`]
 /// raw value (the id is already config-scoped, so the pair is
 /// unambiguous across models and tasks).
@@ -254,6 +323,13 @@ pub fn stats_projection(stats: &EvalStats) -> String {
     s
 }
 
+/// The stats sidecar's JSON bytes for a fully populated [`EvalStats`]:
+/// every field set, none at its default. Pins the sidecar format that
+/// `project_records --stats`, `--merge-shards` and external readers
+/// parse.
+#[cfg(test)]
+pub(crate) const SIDECAR_FIXTURE: &str = r#"{"jobs":3,"cells":42,"executions":120,"cache_hits":480,"panics":2,"timeouts":3,"cancelled":2,"abandoned":1,"retries":4,"flaky":1,"resumed_cells":5,"quarantined":[{"task":{"problem":{"ptype":"Sort","variant":0},"model":"OpenMp"},"kind":"crash","n":8,"error":"panic"},{"task":{"problem":{"ptype":"Graph","variant":2},"model":"Mpi"},"kind":"deadlock","n":64,"error":"timeout"}],"queue_wait_s":12.5,"max_queue_wait_s":1.25,"baseline_s":0.75,"run_s":30.5,"validate_s":2.25,"wall_s":15,"lease_hits":900,"lease_misses":100,"pools_poisoned":6,"input_cache_hits":700,"pool_setup_s":0.5,"ranks_multiplexed":4096,"bytes_zero_copied":3145728,"journal_compactions":7,"journal_frames_rejected":8,"deadlocks_detected":9,"stack_overflows_caught":10,"guard_faults":11,"leak_budget_exhausted":true,"cells_stolen":12,"steal_conflicts":13,"steal_scans":14,"cell_walls":[{"cell":3,"secs":0.125},{"cell":17,"secs":2.5}],"shard_walls":[10,15,7.5]}"#;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,5 +360,24 @@ mod tests {
         assert_eq!(back.models[0].tasks[0].task, task);
         assert_eq!(back.model("GPT-4").unwrap().tasks.len(), 1);
         assert!(back.model("nope").is_none());
+    }
+
+    fn fixture() -> EvalStats {
+        serde_json::from_str(SIDECAR_FIXTURE).unwrap()
+    }
+
+    #[test]
+    fn sidecar_fixture_round_trips_byte_identically() {
+        assert_eq!(serde_json::to_string(&fixture()).unwrap(), SIDECAR_FIXTURE);
+    }
+
+    #[test]
+    fn merge_into_default_keeps_every_field() {
+        // Default is the identity of every merge rule, so a field that
+        // `merge` forgets shows up here as a reset value.
+        let full = fixture();
+        let mut merged = EvalStats::default();
+        merged.merge(&full);
+        assert_eq!(merged, full);
     }
 }

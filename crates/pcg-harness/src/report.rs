@@ -662,4 +662,29 @@ mod tests {
         assert!(n >= 256);
         assert_eq!(n % 256, 0);
     }
+
+    #[test]
+    fn stats_summary_is_pinned_for_a_fully_populated_sidecar() {
+        let stats: crate::record::EvalStats =
+            serde_json::from_str(crate::record::SIDECAR_FIXTURE).unwrap();
+        let expected = [
+            "[pcgbench] scheduler: 42 cells on 3 workers in 15.00s wall",
+            "[pcgbench]   executions: 120 (480 cache hits, 2 panics, 3 timeouts)",
+            "[pcgbench]   stage seconds (summed over workers): baseline 0.75, run 30.50, validate 2.25",
+            "[pcgbench]   queue wait: 12.50s total, 1.25s max per cell",
+            "[pcgbench]   warm path: 900/1000 lease hits (90%), 6 poisoned, 700 input-cache hits, 0.50s pool setup",
+            "[pcgbench]   mpi transport: 4096 ranks multiplexed onto fibers, 3.0 MiB moved zero-copy",
+            "[pcgbench]   hostile candidates: 2 cancelled, 1 abandoned, 4 retried (1 flaky)",
+            "[pcgbench]   containment: 9 deadlocks failed fast, 10 stack overflows caught (11 guard faults)",
+            "[pcgbench]   WARNING: abandoned-worker budget exhausted during this run — isolated workers blocked on leaked threads; raise max_abandoned or investigate hostile candidates",
+            "[pcgbench]   shard balance: 3 processes, 15.00s max / 10.83s mean wall (imbalance 1.38x) — the merge gate waits on the max",
+            "[pcgbench]   work stealing: 12 cells stolen from lagging siblings (13 claim conflicts, 14 sibling scans)",
+            "[pcgbench]   resumed: 5 cells replayed from the journal",
+            "[pcgbench]   journal: 7 stale frames compacted on resume",
+            "[pcgbench]   journal: 8 corrupt frames rejected during replay (see stderr for offsets)",
+            "[pcgbench]   quarantined: TaskId { problem: ProblemId { ptype: Sort, variant: 0 }, model: OpenMp } kind=crash n=8 (panic)",
+            "[pcgbench]   quarantined: TaskId { problem: ProblemId { ptype: Graph, variant: 2 }, model: Mpi } kind=deadlock n=64 (timeout)",
+        ];
+        assert_eq!(stats_summary(&stats), expected.map(|l| format!("{l}\n")).concat());
+    }
 }

@@ -23,16 +23,18 @@
 //! serial facade over the same machinery.
 
 use crate::config::EvalConfig;
+use crate::record::EvalStats;
 use crate::scheduler::panic_message;
 use pcg_core::cancel::{self, CancelToken};
 use pcg_core::usage::UsageScope;
-use pcg_core::{warm, CandidateKind, Output, PcgError, ProblemId, Stage, TaskId};
+use pcg_core::{warm, CandidateKind, Output, PcgError, ProblemId, TaskId};
 use pcg_problems::corrupt;
 use pcg_problems::input_cache::{self, InputCacheStats};
 use pcg_problems::lease::{self, LeaseStats};
 use pcg_problems::registry;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,6 +124,18 @@ pub struct QuarantineEntry {
     pub n: u32,
     /// The final failure code (`"panic"` or `"timeout"`).
     pub error: String,
+}
+
+impl QuarantineEntry {
+    /// The deterministic order of quarantine lists: task, then kind
+    /// code, then resource count. Entries equal under it are one entry
+    /// when lists are merged.
+    pub(crate) fn cmp_key(&self, other: &QuarantineEntry) -> CmpOrdering {
+        self.task
+            .cmp(&other.task)
+            .then_with(|| self.kind.cmp(&other.kind))
+            .then_with(|| self.n.cmp(&other.n))
+    }
 }
 
 /// Tracks worker threads that were abandoned (leaked) after ignoring
@@ -311,10 +325,11 @@ pub struct SharedRunner {
     baselines: Mutex<HashMap<ProblemId, OnceCell<Baseline>>>,
     executions: Mutex<HashMap<(TaskId, CandidateKind, u32), OnceCell<Execution>>>,
     counters: Counters,
-    /// Keyed by the requested kind: one entry per requested kind whose
-    /// execution hard-failed, even when several kinds share the
-    /// execution (the four corruption modes share one kind code).
-    quarantined: Mutex<HashMap<(TaskId, CandidateKind, u32), QuarantineEntry>>,
+    /// Keyed like [`QuarantineEntry::cmp_key`], by the requested kind's
+    /// code: the corruption modes served by one hard-failed execution
+    /// share the code `"wrong"` and the failure, so they are one entry,
+    /// as they are after [`EvalStats::merge`].
+    quarantined: Mutex<HashMap<(TaskId, &'static str, u32), QuarantineEntry>>,
     leaks: Arc<LeakTracker>,
     supervisors: Arc<SupervisorPool>,
     warm_base: WarmBase,
@@ -391,7 +406,7 @@ impl SharedRunner {
     /// not candidates that merely *report* a failure) are retried once
     /// when `cfg.retry_flaky` is set; every requested kind whose
     /// execution hard-fails its final attempt is quarantined under its
-    /// own kind code. Retry happens inside the cache initializer, so
+    /// own kind code, once per code. Retry happens inside the cache initializer, so
     /// concurrent requesters still observe exactly one (possibly
     /// retried) execution sequence per key.
     pub fn outcome(&self, task: TaskId, kind: CandidateKind, n: u32) -> Outcome {
@@ -420,7 +435,7 @@ impl SharedRunner {
         }
         let out = exec.verdict(kind).clone();
         if exec.hard {
-            self.quarantined.lock().entry((task, kind, n)).or_insert_with(|| QuarantineEntry {
+            self.quarantined.lock().entry((task, kind.code(), n)).or_insert_with(|| QuarantineEntry {
                 task,
                 kind: kind.code().to_string(),
                 n,
@@ -428,17 +443,6 @@ impl SharedRunner {
             });
         }
         out
-    }
-
-    /// The quarantine list: candidates that hard-failed every attempt,
-    /// sorted deterministically (outcome caching makes insertion order
-    /// scheduling-dependent).
-    pub fn quarantined(&self) -> Vec<QuarantineEntry> {
-        let mut q: Vec<_> = self.quarantined.lock().values().cloned().collect();
-        q.sort_by(|a, b| {
-            a.task.cmp(&b.task).then_with(|| a.kind.cmp(&b.kind)).then_with(|| a.n.cmp(&b.n))
-        });
-        q
     }
 
     /// The `T*/T` performance ratio of one candidate (0 when incorrect).
@@ -678,139 +682,59 @@ impl SharedRunner {
         }
     }
 
-    /// Total candidate executions performed (cache misses).
-    pub fn executions(&self) -> u64 {
-        self.counters.executions.load(Ordering::Relaxed)
-    }
-
-    /// Outcome requests served from cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.counters.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Candidates whose body panicked (captured, not propagated).
-    pub fn panics(&self) -> u64 {
-        self.counters.panics.load(Ordering::Relaxed)
-    }
-
-    /// Candidates that blew the time limit (whether they then unwound
-    /// cooperatively or had to be abandoned).
-    pub fn timeouts(&self) -> u64 {
-        self.counters.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Timed-out workers that unwound cooperatively within the grace
-    /// period after their cancel token fired.
-    pub fn cancelled(&self) -> u64 {
-        self.counters.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Timed-out workers that ignored cancellation past the grace
-    /// period and were abandoned (leaked until they unwind).
-    pub fn abandoned(&self) -> u64 {
-        self.counters.abandoned.load(Ordering::Relaxed)
-    }
-
-    /// Hard-failed candidates re-executed under `cfg.retry_flaky`.
-    pub fn retries(&self) -> u64 {
-        self.counters.retries.load(Ordering::Relaxed)
-    }
-
-    /// Retried candidates whose second attempt did not hard-fail.
-    pub fn flaky(&self) -> u64 {
-        self.counters.flaky.load(Ordering::Relaxed)
-    }
-
     /// Abandoned worker threads that have not yet unwound.
     pub fn leaked_workers(&self) -> usize {
         self.leaks.live()
     }
 
-    /// Cumulative seconds attributed to `stage`, summed across workers.
-    /// `Stage::Queue` is tracked by the scheduler, not the runner, so it
-    /// reads zero here.
-    pub fn stage_seconds(&self, stage: Stage) -> f64 {
-        let ns = match stage {
-            Stage::Queue => 0,
-            Stage::Baseline => self.counters.baseline_ns.load(Ordering::Relaxed),
-            Stage::Run => self.counters.run_ns.load(Ordering::Relaxed),
-            Stage::Validate => self.counters.validate_ns.load(Ordering::Relaxed),
-        };
-        ns as f64 / 1e9
-    }
-
-    /// Substrate-lease checkouts served warm since this runner was
-    /// created (delta of the process-global counter).
-    pub fn lease_hits(&self) -> u64 {
-        lease::stats().hits.saturating_sub(self.warm_base.lease.hits)
-    }
-
-    /// Substrate-lease checkouts that built a fresh substrate.
-    pub fn lease_misses(&self) -> u64 {
-        lease::stats().misses.saturating_sub(self.warm_base.lease.misses)
-    }
-
-    /// Leased substrates discarded because their candidate unwound
-    /// (panic or cooperative cancellation) while holding them.
-    pub fn pools_poisoned(&self) -> u64 {
-        lease::stats().poisoned.saturating_sub(self.warm_base.lease.poisoned)
-    }
-
-    /// Input-instance lookups served by the memoization cache.
-    pub fn input_cache_hits(&self) -> u64 {
-        input_cache::stats().hits.saturating_sub(self.warm_base.input.hits)
-    }
-
-    /// Seconds spent constructing substrates on lease misses (the warm
-    /// path's analog of per-run pool setup time).
-    pub fn pool_setup_s(&self) -> f64 {
-        (lease::stats().setup_s - self.warm_base.lease.setup_s).max(0.0)
-    }
-
-    /// Simulated MPI ranks run as multiplexed fibers rather than OS
-    /// threads during this evaluation.
-    pub fn ranks_multiplexed(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .ranks_multiplexed
-            .saturating_sub(self.warm_base.sched.ranks_multiplexed)
-    }
-
-    /// Payload bytes moved by reference (`Arc` forward) instead of
-    /// copied during this evaluation's simulated message transport.
-    pub fn bytes_zero_copied(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .bytes_zero_copied
-            .saturating_sub(self.warm_base.sched.bytes_zero_copied)
-    }
-
-    /// Worlds failed fast by the wait-for-graph deadlock detector
-    /// during this evaluation.
-    pub fn deadlocks_detected(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .deadlocks_detected
-            .saturating_sub(self.warm_base.sched.deadlocks_detected)
-    }
-
-    /// Fiber stack overflows converted into verdicts by the guard page
-    /// during this evaluation.
-    pub fn stack_overflows_caught(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .stack_overflows_caught
-            .saturating_sub(self.warm_base.sched.stack_overflows_caught)
-    }
-
-    /// SIGSEGV faults classified as guard-page hits during this
-    /// evaluation.
-    pub fn guard_faults(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .guard_faults
-            .saturating_sub(self.warm_base.sched.guard_faults)
-    }
-
-    /// Whether the abandoned-worker budget was exhausted at least once
-    /// (spawners had to block until leaks unwound).
-    pub fn leak_budget_exhausted(&self) -> bool {
-        self.leaks.was_exhausted()
+    /// Snapshot every [`EvalStats`] field this runner owns: the
+    /// execution counters, the baseline/run/validate seconds (summed
+    /// across workers, so under `--jobs N` they can exceed wall clock),
+    /// the lease, input-cache and mpisim deltas since the runner was
+    /// created, the leak-budget flag and the quarantine list (sorted
+    /// deterministically — outcome caching makes insertion order
+    /// scheduling-dependent). Counters are cumulative over the runner's
+    /// life. Every other field is left at its default for the caller.
+    pub fn stats(&self) -> EvalStats {
+        let c = &self.counters;
+        let count = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let secs = |a: &AtomicU64| count(a) as f64 / 1e9;
+        let base = &self.warm_base;
+        let lease = lease::stats();
+        let input = input_cache::stats();
+        let sched = pcg_mpisim::sched::stats();
+        let mut quarantined: Vec<_> = self.quarantined.lock().values().cloned().collect();
+        quarantined.sort_by(QuarantineEntry::cmp_key);
+        EvalStats {
+            executions: count(&c.executions),
+            cache_hits: count(&c.cache_hits),
+            panics: count(&c.panics),
+            timeouts: count(&c.timeouts),
+            cancelled: count(&c.cancelled),
+            abandoned: count(&c.abandoned),
+            retries: count(&c.retries),
+            flaky: count(&c.flaky),
+            quarantined,
+            baseline_s: secs(&c.baseline_ns),
+            run_s: secs(&c.run_ns),
+            validate_s: secs(&c.validate_ns),
+            lease_hits: lease.hits.saturating_sub(base.lease.hits),
+            lease_misses: lease.misses.saturating_sub(base.lease.misses),
+            pools_poisoned: lease.poisoned.saturating_sub(base.lease.poisoned),
+            input_cache_hits: input.hits.saturating_sub(base.input.hits),
+            pool_setup_s: (lease.setup_s - base.lease.setup_s).max(0.0),
+            ranks_multiplexed: sched.ranks_multiplexed.saturating_sub(base.sched.ranks_multiplexed),
+            bytes_zero_copied: sched.bytes_zero_copied.saturating_sub(base.sched.bytes_zero_copied),
+            deadlocks_detected: sched
+                .deadlocks_detected
+                .saturating_sub(base.sched.deadlocks_detected),
+            stack_overflows_caught: sched
+                .stack_overflows_caught
+                .saturating_sub(base.sched.stack_overflows_caught),
+            guard_faults: sched.guard_faults.saturating_sub(base.sched.guard_faults),
+            leak_budget_exhausted: self.leaks.was_exhausted(),
+            ..EvalStats::default()
+        }
     }
 }
 
@@ -928,10 +852,10 @@ mod tests {
         let mut r = runner();
         let t = mk_task(ExecutionModel::Cuda);
         let a = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
-        let hits_before = r.shared().cache_hits();
+        let hits_before = r.shared().stats().cache_hits;
         let b = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
         assert_eq!(a.seconds, b.seconds, "second call must be the cached run");
-        assert_eq!(r.shared().cache_hits(), hits_before + 1);
+        assert_eq!(r.shared().stats().cache_hits, hits_before + 1);
     }
 
     #[test]
@@ -952,7 +876,7 @@ mod tests {
         let out = r.run_isolated::<(), _>(|| panic!("candidate exploded"));
         assert!(!out.correct);
         assert_eq!(out.error.as_deref(), Some("panic"));
-        assert_eq!(r.panics(), 1);
+        assert_eq!(r.stats().panics, 1);
         // The runner is still serviceable after a panic.
         let ok = r.run_isolated(|| Ok::<_, PcgError>(42));
         assert!(ok.correct, "{ok:?}");
@@ -972,9 +896,10 @@ mod tests {
         });
         assert!(!out.correct);
         assert_eq!(out.error.as_deref(), Some("timeout"));
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.abandoned(), 1);
-        assert_eq!(r.cancelled(), 0);
+        let stats = r.stats();
+        assert_eq!(stats.timeouts, 1);
+        assert_eq!(stats.abandoned, 1);
+        assert_eq!(stats.cancelled, 0);
         assert_eq!(r.leaked_workers(), 1, "the sleeper holds a leak slot");
     }
 
@@ -992,9 +917,10 @@ mod tests {
         });
         assert!(!out.correct);
         assert_eq!(out.error.as_deref(), Some("timeout"));
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.cancelled(), 1);
-        assert_eq!(r.abandoned(), 0, "cooperative unwind must not leak");
+        let stats = r.stats();
+        assert_eq!(stats.timeouts, 1);
+        assert_eq!(stats.cancelled, 1);
+        assert_eq!(stats.abandoned, 0, "cooperative unwind must not leak");
         assert_eq!(r.leaked_workers(), 0);
     }
 
@@ -1012,9 +938,9 @@ mod tests {
             Ok::<_, PcgError>(())
         });
         assert_eq!(out.error.as_deref(), Some("timeout"));
-        assert_eq!(r.abandoned(), 1);
+        assert_eq!(r.stats().abandoned, 1);
         assert!(
-            !r.leak_budget_exhausted(),
+            !r.stats().leak_budget_exhausted,
             "abandonment alone must not trip the flag — only blocking does"
         );
         // Second execution must wait for the slot, then run normally.
@@ -1027,7 +953,7 @@ mod tests {
         );
         assert_eq!(r.leaked_workers(), 0, "the sleeper released its slot on unwind");
         assert!(
-            r.leak_budget_exhausted(),
+            r.stats().leak_budget_exhausted,
             "blocking on the exhausted budget must latch the sidecar flag"
         );
     }
@@ -1080,7 +1006,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(r.executions(), points, "one efficient execution per (task, n)");
+        assert_eq!(r.stats().executions, points, "one efficient execution per (task, n)");
     }
 
     #[test]
@@ -1099,8 +1025,9 @@ mod tests {
                 let out = r.outcome(t, kind, 4);
                 assert_eq!(out.correct, kind == eff, "{kind:?}: {out:?}");
             }
-            assert_eq!(r.executions(), 1, "efficient_first={efficient_first}");
-            assert_eq!(r.cache_hits(), 4);
+            let stats = r.stats();
+            assert_eq!(stats.executions, 1, "efficient_first={efficient_first}");
+            assert_eq!(stats.cache_hits, 4);
         }
     }
 
@@ -1123,9 +1050,9 @@ mod tests {
             cfg.grace = Duration::from_secs(30);
             cfg.retry_flaky = retry_flaky;
 
-            // Efficient sample plus all four modes: the same list as when
-            // each kind hard-failed its own execution — one entry per
-            // requested kind, the four modes sharing the code "wrong".
+            // Efficient sample plus all four modes: one entry per
+            // requested kind code, the four modes sharing "wrong" — the
+            // list a merge of this snapshot keeps unchanged.
             let r = SharedRunner::new(cfg.clone());
             let eff = CandidateKind::Correct(Quality::Efficient);
             for kind in MODES.into_iter().chain([eff]) {
@@ -1133,10 +1060,14 @@ mod tests {
                 assert_eq!((out.built, out.correct), (true, false));
                 assert_eq!(out.error.as_deref(), Some("timeout"));
             }
-            let expected: Vec<_> = [eff].into_iter().chain(MODES).map(entry).collect();
-            assert_eq!(r.quarantined(), expected, "retry_flaky={retry_flaky}");
-            assert_eq!(r.executions(), 1 + u64::from(retry_flaky));
-            assert_eq!(r.retries(), u64::from(retry_flaky));
+            let expected = vec![entry(eff), entry(MODES[0])];
+            let stats = r.stats();
+            assert_eq!(stats.quarantined, expected, "retry_flaky={retry_flaky}");
+            assert_eq!(stats.executions, 1 + u64::from(retry_flaky));
+            assert_eq!(stats.retries, u64::from(retry_flaky));
+            let mut merged = EvalStats::default();
+            merged.merge(&stats);
+            assert_eq!(merged.quarantined, expected, "a snapshot is already merged form");
 
             // Only the modes requested: the efficient execution runs on
             // their behalf but is not itself quarantined.
@@ -1144,8 +1075,7 @@ mod tests {
             for kind in MODES {
                 r.outcome(t, kind, n);
             }
-            let expected: Vec<_> = MODES.into_iter().map(entry).collect();
-            assert_eq!(r.quarantined(), expected, "retry_flaky={retry_flaky}");
+            assert_eq!(r.stats().quarantined, vec![entry(MODES[0])], "retry_flaky={retry_flaky}");
             assert_eq!(r.leaked_workers(), 0, "cancelled cooperatively");
         }
     }
@@ -1161,12 +1091,12 @@ mod tests {
                 (0..8).map(|_| s.spawn(|| r.outcome(t, kind, 4))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(r.executions(), 1, "one execution, {} cache hits", r.cache_hits());
+        let stats = r.stats();
+        assert_eq!(stats.executions, 1, "one execution, {} cache hits", stats.cache_hits);
         for o in &outs {
             assert!(o.correct);
             assert_eq!(o.seconds, outs[0].seconds);
         }
-        assert!(r.stage_seconds(Stage::Run) > 0.0);
-        assert_eq!(r.stage_seconds(Stage::Queue), 0.0);
+        assert!(stats.run_s > 0.0);
     }
 }

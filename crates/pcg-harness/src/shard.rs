@@ -213,22 +213,20 @@ pub fn steal_from_siblings(
 
 /// Fold the stats of one stolen-batch evaluation into the worker's
 /// running total. [`SharedRunner`] counters are **cumulative across
-/// calls** on one runner, so the latest snapshot replaces the total
-/// wholesale; the genuinely per-call fields (cells, queue waits,
-/// measured walls, resumed count) accumulate.
-fn absorb_steal_stats(total: &mut EvalStats, fill: EvalStats, stolen_cells: usize) {
-    let cells = total.cells + stolen_cells;
-    let queue_wait_s = total.queue_wait_s + fill.queue_wait_s;
-    let max_queue_wait_s = total.max_queue_wait_s.max(fill.max_queue_wait_s);
-    let resumed_cells = total.resumed_cells;
-    let mut cell_walls = std::mem::take(&mut total.cell_walls);
-    cell_walls.extend(fill.cell_walls.iter().copied());
-    *total = fill;
-    total.cells = cells;
-    total.queue_wait_s = queue_wait_s;
-    total.max_queue_wait_s = max_queue_wait_s;
-    total.resumed_cells = resumed_cells;
-    total.cell_walls = cell_walls;
+/// calls** on one runner, so the latest snapshot (`fill`) replaces the
+/// runner's fields wholesale; the per-call fields of the previous total
+/// (cells, queue waits, measured walls, resumed count) accumulate by
+/// [`EvalStats::merge`].
+fn absorb_steal_stats(total: &mut EvalStats, fill: EvalStats) {
+    let previous = std::mem::replace(total, fill);
+    total.merge(&EvalStats {
+        cells: previous.cells,
+        resumed_cells: previous.resumed_cells,
+        queue_wait_s: previous.queue_wait_s,
+        max_queue_wait_s: previous.max_queue_wait_s,
+        cell_walls: previous.cell_walls,
+        ..EvalStats::default()
+    });
 }
 
 /// Run one shard of the full evaluation grid as a worker process.
@@ -347,7 +345,6 @@ pub fn run_shard(
             opts.jobs.max(1),
             done,
             |batch| {
-                let stolen = batch.len();
                 let fill = eval::evaluate_cells_priors(
                     cfg,
                     &source,
@@ -362,14 +359,13 @@ pub fn run_shard(
                         }
                     },
                 );
-                absorb_steal_stats(&mut stats, fill.stats, stolen);
+                absorb_steal_stats(&mut stats, fill.stats);
             },
         );
     }
     stats.cells_stolen = steal.stolen;
     stats.steal_conflicts = steal.conflicts;
     stats.steal_scans = steal.scans + scans_before;
-    stats.cell_walls.sort_by_key(|w| w.cell);
     stats.wall_s = t0.elapsed().as_secs_f64();
     stats.journal_compactions = resumed.compacted;
     stats.journal_frames_rejected = resumed.rejected;
@@ -528,72 +524,28 @@ pub fn merge_shards(
     record
 }
 
-/// Combine per-process [`EvalStats`] into one merged sidecar: counters
-/// and summed stage seconds add, wall clock is the max (processes ran
-/// concurrently), and the quarantine lists union deterministically
-/// (two shards can independently quarantine the same shared candidate;
-/// the single-process run records it once). Measured cell walls union
-/// by cell id (shards are disjoint, so at most one part measured any
-/// cell), and each part's own wall clock is kept as one `shard_walls`
-/// entry — the imbalance `report` surfaces as the merge gate.
+/// Combine per-process [`EvalStats`] into one merged sidecar: a fold
+/// over [`EvalStats::merge`] plus the three rules only the topology
+/// knows. `cells` is the plan's size, `jobs` is at least one, and each
+/// part's own wall clock becomes one `shard_walls` entry — the
+/// imbalance `report` surfaces as the merge gate.
 pub fn combine_stats(parts: &[EvalStats], cells: usize) -> EvalStats {
-    let mut cell_walls: Vec<crate::record::CellWall> =
-        parts.iter().flat_map(|p| p.cell_walls.iter().copied()).collect();
-    cell_walls.sort_by_key(|w| w.cell);
-    cell_walls.dedup_by_key(|w| w.cell);
-    let shard_walls: Vec<f64> = parts.iter().map(|p| p.wall_s).collect();
-    let mut quarantined: Vec<crate::runner::QuarantineEntry> =
-        parts.iter().flat_map(|p| p.quarantined.iter().cloned()).collect();
-    quarantined.sort_by(|a, b| {
-        a.task.cmp(&b.task).then_with(|| a.kind.cmp(&b.kind)).then_with(|| a.n.cmp(&b.n))
-    });
-    quarantined.dedup_by(|a, b| a.task == b.task && a.kind == b.kind && a.n == b.n);
-    let sum = |f: fn(&EvalStats) -> u64| parts.iter().map(f).sum::<u64>();
-    let sum_f = |f: fn(&EvalStats) -> f64| parts.iter().map(f).sum::<f64>();
-    let max_f = |f: fn(&EvalStats) -> f64| parts.iter().map(f).fold(0.0f64, f64::max);
+    let mut total = EvalStats::default();
+    for part in parts {
+        total.merge(part);
+    }
     EvalStats {
-        jobs: parts.iter().map(|p| p.jobs).sum::<usize>().max(1),
+        jobs: total.jobs.max(1),
         cells,
-        executions: sum(|p| p.executions),
-        cache_hits: sum(|p| p.cache_hits),
-        panics: sum(|p| p.panics),
-        timeouts: sum(|p| p.timeouts),
-        cancelled: sum(|p| p.cancelled),
-        abandoned: sum(|p| p.abandoned),
-        retries: sum(|p| p.retries),
-        flaky: sum(|p| p.flaky),
-        resumed_cells: parts.iter().map(|p| p.resumed_cells).sum(),
-        quarantined,
-        queue_wait_s: sum_f(|p| p.queue_wait_s),
-        max_queue_wait_s: max_f(|p| p.max_queue_wait_s),
-        baseline_s: sum_f(|p| p.baseline_s),
-        run_s: sum_f(|p| p.run_s),
-        validate_s: sum_f(|p| p.validate_s),
-        wall_s: max_f(|p| p.wall_s),
-        lease_hits: sum(|p| p.lease_hits),
-        lease_misses: sum(|p| p.lease_misses),
-        pools_poisoned: sum(|p| p.pools_poisoned),
-        input_cache_hits: sum(|p| p.input_cache_hits),
-        pool_setup_s: sum_f(|p| p.pool_setup_s),
-        ranks_multiplexed: sum(|p| p.ranks_multiplexed),
-        bytes_zero_copied: sum(|p| p.bytes_zero_copied),
-        journal_compactions: sum(|p| p.journal_compactions),
-        journal_frames_rejected: sum(|p| p.journal_frames_rejected),
-        deadlocks_detected: sum(|p| p.deadlocks_detected),
-        stack_overflows_caught: sum(|p| p.stack_overflows_caught),
-        guard_faults: sum(|p| p.guard_faults),
-        leak_budget_exhausted: parts.iter().any(|p| p.leak_budget_exhausted),
-        cells_stolen: sum(|p| p.cells_stolen),
-        steal_conflicts: sum(|p| p.steal_conflicts),
-        steal_scans: sum(|p| p.steal_scans),
-        cell_walls,
-        shard_walls,
+        shard_walls: parts.iter().map(|p| p.wall_s).collect(),
+        ..total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::CellWall;
 
     #[test]
     fn shard_stats_paths_are_distinct_per_shard() {
@@ -616,14 +568,18 @@ mod tests {
             n,
             error: "timeout".into(),
         };
-        let mut a = base_stats();
-        a.executions = 10;
-        a.wall_s = 2.0;
-        a.quarantined = vec![q(4), q(8)];
-        let mut b = base_stats();
-        b.executions = 5;
-        b.wall_s = 3.0;
-        b.quarantined = vec![q(4)]; // duplicate of a's entry
+        let a = EvalStats {
+            executions: 10,
+            wall_s: 2.0,
+            quarantined: vec![q(4), q(8)],
+            ..EvalStats::default()
+        };
+        let b = EvalStats {
+            executions: 5,
+            wall_s: 3.0,
+            quarantined: vec![q(4)], // duplicate of a's entry
+            ..EvalStats::default()
+        };
         let merged = combine_stats(&[a, b], 42);
         assert_eq!(merged.cells, 42);
         assert_eq!(merged.executions, 15);
@@ -631,56 +587,15 @@ mod tests {
         assert_eq!(merged.quarantined.len(), 2, "shared candidates quarantine once");
     }
 
-    fn base_stats() -> EvalStats {
-        EvalStats {
-            jobs: 1,
-            cells: 0,
-            executions: 0,
-            cache_hits: 0,
-            panics: 0,
-            timeouts: 0,
-            cancelled: 0,
-            abandoned: 0,
-            retries: 0,
-            flaky: 0,
-            resumed_cells: 0,
-            quarantined: Vec::new(),
-            queue_wait_s: 0.0,
-            max_queue_wait_s: 0.0,
-            baseline_s: 0.0,
-            run_s: 0.0,
-            validate_s: 0.0,
-            wall_s: 0.0,
-            lease_hits: 0,
-            lease_misses: 0,
-            pools_poisoned: 0,
-            input_cache_hits: 0,
-            pool_setup_s: 0.0,
-            ranks_multiplexed: 0,
-            bytes_zero_copied: 0,
-            journal_compactions: 0,
-            journal_frames_rejected: 0,
-            deadlocks_detected: 0,
-            stack_overflows_caught: 0,
-            guard_faults: 0,
-            leak_budget_exhausted: false,
-            cells_stolen: 0,
-            steal_conflicts: 0,
-            steal_scans: 0,
-            cell_walls: Vec::new(),
-            shard_walls: Vec::new(),
-        }
-    }
-
     #[test]
     fn combine_stats_sums_steal_counters() {
-        let mut a = base_stats();
-        a.cells_stolen = 5;
-        a.steal_conflicts = 1;
-        a.steal_scans = 3;
-        let mut b = base_stats();
-        b.cells_stolen = 2;
-        b.steal_scans = 4;
+        let a = EvalStats {
+            cells_stolen: 5,
+            steal_conflicts: 1,
+            steal_scans: 3,
+            ..EvalStats::default()
+        };
+        let b = EvalStats { cells_stolen: 2, steal_scans: 4, ..EvalStats::default() };
         let merged = combine_stats(&[a, b], 7);
         assert_eq!(merged.cells_stolen, 7);
         assert_eq!(merged.steal_conflicts, 1);
@@ -689,13 +604,16 @@ mod tests {
 
     #[test]
     fn combine_stats_unions_cell_walls_and_collects_shard_walls() {
-        use crate::record::CellWall;
-        let mut a = base_stats();
-        a.wall_s = 4.0;
-        a.cell_walls = vec![CellWall { cell: 7, secs: 0.5 }, CellWall { cell: 3, secs: 0.25 }];
-        let mut b = base_stats();
-        b.wall_s = 1.0;
-        b.cell_walls = vec![CellWall { cell: 5, secs: 0.75 }];
+        let a = EvalStats {
+            wall_s: 4.0,
+            cell_walls: vec![CellWall { cell: 7, secs: 0.5 }, CellWall { cell: 3, secs: 0.25 }],
+            ..EvalStats::default()
+        };
+        let b = EvalStats {
+            wall_s: 1.0,
+            cell_walls: vec![CellWall { cell: 5, secs: 0.75 }],
+            ..EvalStats::default()
+        };
         let merged = combine_stats(&[a, b], 3);
         assert_eq!(
             merged.cell_walls.iter().map(|w| w.cell).collect::<Vec<_>>(),
@@ -708,17 +626,66 @@ mod tests {
 
     #[test]
     fn combine_stats_sums_containment_counters_and_ors_leak_flag() {
-        let mut a = base_stats();
-        a.deadlocks_detected = 3;
-        a.stack_overflows_caught = 2;
-        a.guard_faults = 2;
-        let mut b = base_stats();
-        b.deadlocks_detected = 1;
-        b.leak_budget_exhausted = true;
+        let a = EvalStats {
+            deadlocks_detected: 3,
+            stack_overflows_caught: 2,
+            guard_faults: 2,
+            ..EvalStats::default()
+        };
+        let b = EvalStats {
+            deadlocks_detected: 1,
+            leak_budget_exhausted: true,
+            ..EvalStats::default()
+        };
         let merged = combine_stats(&[a, b], 1);
         assert_eq!(merged.deadlocks_detected, 4);
         assert_eq!(merged.stack_overflows_caught, 2);
         assert_eq!(merged.guard_faults, 2);
         assert!(merged.leak_budget_exhausted, "any exhausted part taints the merge");
+    }
+
+    #[test]
+    fn absorb_steal_stats_keeps_the_latest_runner_snapshot() {
+        let wall = |cell: u64| CellWall { cell, secs: cell as f64 / 8.0 };
+        let total = EvalStats {
+            jobs: 2,
+            cells: 10,
+            resumed_cells: 3,
+            executions: 40,
+            panics: 1,
+            run_s: 4.0,
+            queue_wait_s: 1.5,
+            max_queue_wait_s: 0.5,
+            cell_walls: vec![wall(4), wall(9)],
+            ..EvalStats::default()
+        };
+        // The stolen batch ran on the same runner, so its snapshot
+        // already counts the 40 executions above.
+        let fill = EvalStats {
+            jobs: 2,
+            cells: 2,
+            executions: 46,
+            panics: 1,
+            run_s: 5.0,
+            leak_budget_exhausted: true,
+            queue_wait_s: 0.25,
+            max_queue_wait_s: 0.75,
+            wall_s: 0.5,
+            cell_walls: vec![wall(6), wall(11)],
+            ..EvalStats::default()
+        };
+        let mut absorbed = total;
+        absorb_steal_stats(&mut absorbed, fill.clone());
+        assert_eq!(
+            absorbed,
+            EvalStats {
+                cells: 12,
+                resumed_cells: 3,
+                queue_wait_s: 1.75,
+                max_queue_wait_s: 0.75,
+                cell_walls: vec![wall(4), wall(6), wall(9), wall(11)],
+                ..fill
+            }
+        );
     }
 }

@@ -66,7 +66,7 @@ impl SampleSpec {
 pub trait CandidateSource {
     /// The model-row labels, in grid-enumeration order. These strings
     /// are load-bearing identity: they key cell ids, journal entries,
-    /// record rows, priors lookups, and figure bins.
+    /// record rows, priors lookups, and the figure renderers.
     fn model_names(&self) -> Vec<String>;
 
     /// Whether row `model` participates in the high-temperature

@@ -54,9 +54,13 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Multiplex oversubscribed worlds (`ranks > workers()`) when the
-    /// warm path is enabled (`PCG_COLD=1` restores thread-per-rank).
+    /// warm path is enabled (`pcg_core::warm::set_enabled(false)`
+    /// restores thread-per-rank).
     Auto,
-    /// Always thread-per-rank (the A/B baseline).
+    /// Always thread-per-rank. Kept as the reference side of the
+    /// multiplexing checks: `grid_sweep`'s MPI-512 A/B and the
+    /// `mpi_mux`, `mux_paths` and `mux_threads` tests compare fibers
+    /// against it.
     ForceThreads,
     /// Multiplex every multi-rank world, however small (tests/benches).
     ForceMux,

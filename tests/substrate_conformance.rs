@@ -293,11 +293,12 @@ fn hanging_candidates_time_out_on_every_substrate() {
             "{substrate}: hang must be abandoned at the limit"
         );
     }
-    assert_eq!(runner.timeouts(), 6);
+    let stats = runner.stats();
+    assert_eq!(stats.timeouts, 6);
     // A raw `sleep` never observes the cancel token, so every one of
     // these hangs exhausts the grace period and is abandoned.
-    assert_eq!(runner.abandoned(), 6);
-    assert_eq!(runner.cancelled(), 0);
+    assert_eq!(stats.abandoned, 6);
+    assert_eq!(stats.cancelled, 0);
     assert_still_serviceable(&runner);
 }
 
@@ -361,12 +362,13 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
             Some("timeout"),
             "{substrate}: stuck candidate must time out"
         );
+        let stats = runner.stats();
         assert_eq!(
-            runner.cancelled(),
+            stats.cancelled,
             (i + 1) as u64,
             "{substrate}: must unwind via the cancel token"
         );
-        assert_eq!(runner.abandoned(), 0, "{substrate}: cooperative path must not leak");
+        assert_eq!(stats.abandoned, 0, "{substrate}: cooperative path must not leak");
     }
     assert_eq!(runner.leaked_workers(), 0);
     assert_still_serviceable(&runner);
